@@ -128,18 +128,17 @@ func TestFleetChaosKillRedispatch(t *testing.T) {
 	}
 }
 
-// TestFleetDegradedExitCode points the fleet at a dead TCP address:
-// every spawn fails, the respawn budget burns out, and the campaign
-// must still complete — in-process, byte-identical — while exiting
-// with the dedicated degraded code so automation can tell the
-// difference.
+// TestFleetDegradedExitCode burns out every worker budget, for a
+// -config campaign on a dead TCP address and for -experiment -shards
+// whose workers die at spawn: each campaign must still complete —
+// in-process, byte-identical — while exiting with the dedicated
+// degraded code so automation can tell the difference.
 func TestFleetDegradedExitCode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow fleet test")
 	}
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
-	golden := unshardedArchive(t, dir, cfgPath)
 
 	// Bind a port, then free it: a dial target that refuses quickly.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -149,23 +148,51 @@ func TestFleetDegradedExitCode(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	outPath := filepath.Join(dir, "degraded.json")
-	var out bytes.Buffer
-	runErr := run([]string{"-config", cfgPath, "-out", outPath, "-q",
-		"-workers", deadAddr}, &out)
-	var ee *exitError
-	if !errors.As(runErr, &ee) || ee.code != exitDegraded {
-		t.Fatalf("err = %v, want exitError code %d (degraded completion)", runErr, exitDegraded)
-	}
-	if !strings.Contains(out.String(), "DEGRADED") {
-		t.Fatalf("summary missing the degraded line:\n%s", out.String())
-	}
-	got, rerr := os.ReadFile(outPath)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if !bytes.Equal(golden, got) {
-		t.Fatal("degraded-completion archive differs from the unsharded run")
+	for _, c := range []struct {
+		name            string
+		campaign, fleet []string
+	}{
+		{"config", []string{"-config", cfgPath}, []string{"-workers", deadAddr}},
+		// Without DTS_HELPER_PROCESS the self-exec workers are this test
+		// binary run with -shard-worker, a flag it rejects.
+		{"experiment", []string{"-experiment", "figure5"}, []string{"-shards", "2"}},
+	} {
+		goldenPath, outPath := filepath.Join(dir, c.name+"-golden.json"), filepath.Join(dir, c.name+"-degraded.json")
+		var out bytes.Buffer
+		if err := run(append(append([]string{}, c.campaign...), "-out", goldenPath, "-q"), &out); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		// Self-exec workers inherit os.Stderr; keep their flag-usage
+		// text out of the test log.
+		devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = devNull
+		args := append(append([]string{}, c.campaign...), "-out", outPath, "-q")
+		runErr := run(append(args, c.fleet...), &out)
+		os.Stderr = stderr
+		devNull.Close()
+		var ee *exitError
+		if !errors.As(runErr, &ee) || ee.code != exitDegraded {
+			t.Fatalf("%s: err = %v, want exitError code %d (degraded completion)", c.name, runErr, exitDegraded)
+		}
+		if !strings.Contains(out.String(), "fleet: DEGRADED") {
+			t.Fatalf("%s: summary missing the degraded line:\n%s", c.name, out.String())
+		}
+		golden, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(golden, got) {
+			t.Fatalf("%s: degraded-completion archive differs from the in-process run", c.name)
+		}
 	}
 }
 
@@ -180,6 +207,7 @@ func TestWorkersFlagValidation(t *testing.T) {
 		want string
 	}{
 		{[]string{"-config", cfgPath, "-workers", "4", "-shards", "2"}, "mutually exclusive"},
+		{[]string{"-config", cfgPath, "-workers", "4", "-shards", "1"}, "mutually exclusive"},
 		{[]string{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"}, "-workers"},
 		{[]string{"-config", cfgPath, "-workers", "4", "-max-quarantined", "3"}, "-workers"},
 		{[]string{"-workers", "4", "-experiment", "table1"}, "-workers"},

@@ -14,7 +14,7 @@
 //	dts -experiment table1|figure2|figure5 [-out results.json]
 //	dts -conformance [-golden path] [-update] [-sample n] [-seed n]
 //	dts ... [-trace-out trace.jsonl] [-metrics] [-trace-cap n]
-//	dts -config dts.cfg -workers 4 | -workers h1:9433,h2:9433 [-worker-key k]
+//	dts -config dts.cfg -shards 4 | -workers 4 | -workers h1:9433,h2:9433 [-worker-key k]
 //	dts -worker-listen :9433 [-worker-key k]
 //	dts serve [-addr host:port] [-worker-key k]
 //
@@ -33,11 +33,6 @@
 // summary — byte-identical at any -parallel setting. dtsreport -trace
 // summarizes an exported trace.
 //
-// -shards N fans a campaign out over N worker processes (dts re-executes
-// itself with the internal -shard-worker flag); the merged archive,
-// trace, and metrics are byte-identical to the unsharded run, and a
-// worker that dies mid-shard is respawned with only its remaining specs.
-//
 // -cohort replaces the canned client with a generated multi-client cohort
 // (seeded arrival processes, per-class request mixes — see DESIGN.md §4h);
 // the campaign summary then includes a per-class reliability table.
@@ -51,12 +46,15 @@
 // workers pull bounded chunks on demand, lost chunks are re-dispatched,
 // straggler tails are speculated, and the merged archive is byte-identical
 // to an unsharded run under any kill schedule. An integer count spawns
-// local worker processes; a host:port list dials `dts -worker-listen`
-// hosts over authenticated, reconnect-resumable TCP. A campaign that
-// finishes only by in-process fallback (every worker budget exhausted)
-// exits 5. `dts serve` exposes the same engine as a long-running HTTP
-// service: submit campaigns with config and fault list inline, stream
-// progress as JSONL, fetch the archive and report.
+// local worker processes (dts re-executes itself with the internal
+// -shard-worker flag); a host:port list dials `dts -worker-listen`
+// hosts over authenticated, reconnect-resumable TCP. -shards N (N >= 2)
+// is -workers N, and also fans out each -experiment campaign; -shards
+// 0 or 1 stays in-process. A campaign that finishes only by in-process
+// fallback (every worker budget exhausted) exits 5. `dts serve` exposes
+// the same engine as a long-running HTTP service: submit campaigns with
+// config and fault list inline, stream progress as JSONL, fetch the
+// archive and report.
 //
 // -middleware overrides the configured substrate ("none", "watchd",
 // "watchd-v1".."v3", "mscs") without editing the config file. With
@@ -89,6 +87,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -148,8 +147,8 @@ func run(args []string, out io.Writer) error {
 	runDeadline := fs.Duration("run-deadline", 0, "wall-clock watchdog per run attempt (0 = off); a hung attempt is abandoned and retried")
 	maxQuarantined := fs.Int("max-quarantined", 0, "stop the campaign once this many runs are quarantined (0 = unlimited)")
 	retries := fs.Int("retries", 2, "retry budget for indeterminate runs (hang, panic, error) before quarantine")
-	chaos := fs.Bool("chaos", false, "recognize the reserved DTSChaos* fault functions and the DTS_SHARD_CHAOS_KILL drill (self-tests)")
-	shards := fs.Int("shards", 0, "fan the campaign out over this many worker processes (results byte-identical to unsharded; -parallel then sizes each worker's pool)")
+	chaos := fs.Bool("chaos", false, "recognize the reserved DTSChaos* fault functions and the DTS_SHARD_CHAOS_KILL/_HANG/_SLOW worker drills (self-tests)")
+	shards := fs.Int("shards", 0, "fan the campaign out over this many worker processes: -shards N (N >= 2) is -workers N, and also works with -experiment (results byte-identical to unsharded; -parallel then sizes each worker's pool)")
 	workers := fs.String("workers", "", `work-stealing campaign fleet: a worker count ("4" spawns local dts workers) or a comma-separated host:port list (dials dts -worker-listen hosts); results byte-identical to unsharded under any kill schedule`)
 	workerListen := fs.String("worker-listen", "", "host fleet workers for remote -workers coordinators on this TCP address (long-running; authenticate with -worker-key)")
 	workerKey := fs.String("worker-key", "", "shared session key for the -workers/-worker-listen TCP transport (default $DTS_WORKER_KEY)")
@@ -273,35 +272,29 @@ func run(args []string, out io.Writer) error {
 		mwOverride = &spec
 	}
 
-	if fflags.active() {
-		if *shards > 0 {
-			return fmt.Errorf("-workers (work-stealing fleet) and -shards (static partitions) are mutually exclusive")
-		}
-		if *resume != "" || *conformance || *experiment != "" || *faultSpec != "" ||
-			*runDeadline > 0 || *maxQuarantined > 0 {
-			return fmt.Errorf("-workers runs unsupervised -config campaigns only; drop -resume/-conformance/-experiment/-fault/-run-deadline/-max-quarantined (-journal is allowed: the fleet journals every committed run plus its dispatch provenance)")
-		}
+	if *shards > 0 && fflags.active() {
+		return fmt.Errorf("-workers and -shards are mutually exclusive (-shards N is -workers N)")
 	}
-
-	var shardExec core.ShardExecutor
 	if *shards > 1 {
-		if *resume != "" || *conformance || *faultSpec != "" || *journalPath != "" ||
-			*runDeadline > 0 || *maxQuarantined > 0 {
-			return fmt.Errorf("-shards runs unsupervised campaigns only; drop -resume/-conformance/-fault/-journal/-run-deadline/-max-quarantined (worker processes already isolate harness faults)")
+		fflags.workers = strconv.Itoa(*shards)
+	}
+	var fopts *shard.FleetOptions
+	if fflags.active() {
+		if *resume != "" || *conformance || *faultSpec != "" || *runDeadline > 0 || *maxQuarantined > 0 ||
+			(*experiment != "" && *workers != "") {
+			return fmt.Errorf("-workers/-shards run unsupervised campaigns only (-experiment takes -shards); drop -resume/-conformance/-fault/-run-deadline/-max-quarantined (-journal is allowed: the fleet journals every committed run plus its dispatch provenance)")
 		}
-		sopts := shard.Options{WorkerParallelism: *parallel, Spawn: workerSpawner()}
-		if *chaos {
-			sopts.ChaosKill = os.Getenv("DTS_SHARD_CHAOS_KILL")
-			sopts.ChaosSlow = os.Getenv("DTS_SHARD_CHAOS_SLOW")
+		opts, err := fflags.options(*parallel)
+		if err != nil {
+			return err
 		}
-		shardExec = shard.New(sopts)
+		fopts = &opts
 	}
 
-	ecfg := experiments.Config{Progress: progress, Parallelism: *parallel,
-		Shards: *shards, ShardExec: shardExec}
+	ecfg := experiments.Config{Progress: progress, Parallelism: *parallel}
 	ecfg.Opts.Telemetry = tflags.options()
 	ecfg.Opts.FreshBoot = *freshBoot
-	if sflags.active() && *shards <= 1 && !fflags.active() {
+	if sflags.active() && fopts == nil {
 		opts := sflags.options()
 		ecfg.Supervise = &opts
 	}
@@ -320,11 +313,11 @@ func run(args []string, out io.Writer) error {
 	case *conformance:
 		return runConformance(*golden, *update, *sample, *seed, *parallel, tflags, progress, out)
 	case *experiment != "":
-		return runExperiment(*experiment, *outPath, ecfg, tflags, out)
+		return runExperiment(*experiment, *outPath, ecfg, fopts, tflags, out)
 	case *cfgPath != "" && *faultSpec != "":
 		return runSingleFault(*cfgPath, *faultSpec, *trace, *freshBoot, mwOverride, cflags, wflags, tflags, out)
 	case *cfgPath != "":
-		return runConfigured(ctx, *cfgPath, *outPath, *parallel, *shards, *freshBoot, shardExec, mwOverride, cflags, wflags, tflags, sflags, fflags, progress, out)
+		return runConfigured(ctx, *cfgPath, *outPath, *parallel, *freshBoot, fopts, mwOverride, cflags, wflags, tflags, sflags, progress, out)
 	default:
 		return fmt.Errorf("one of -config, -experiment or -resume is required")
 	}
@@ -565,9 +558,13 @@ func runConformance(golden string, update bool, sample int, seed int64, parallel
 	return nil
 }
 
-func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemetryFlags, out io.Writer) error {
+func runExperiment(name, outPath string, ecfg experiments.Config, fopts *shard.FleetOptions, tflags telemetryFlags, out io.Writer) error {
+	if fopts != nil {
+		ecfg.ShardExec = shard.NewFleet(*fopts)
+	}
 	archive := &experiments.Archive{}
 	var tset *telemetry.Set
+	var sets []*core.SetResult
 	switch name {
 	case "table1":
 		res, err := experiments.RunTable1(ecfg)
@@ -583,7 +580,7 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 			return err
 		}
 		archive.Kind, archive.Experiment = "figure2", exp
-		tset = experiments.MergedTelemetry(exp.Sets)
+		tset, sets = experiments.MergedTelemetry(exp.Sets), exp.Sets
 		fmt.Fprint(out, report.Figure2(exp))
 	case "figure5":
 		res, err := experiments.RunFigure5(ecfg)
@@ -592,17 +589,25 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 		}
 		archive.Kind, archive.Figure5 = "figure5", res
 		tset = res.Telemetry
+		for _, vs := range res.Sets {
+			sets = append(sets, vs...)
+		}
 		fmt.Fprint(out, report.Figure5(res))
 	default:
 		return fmt.Errorf("unknown experiment %q (want table1, figure2 or figure5)", name)
 	}
+	st := sumDispatch(sets)
+	printFleetSummary(st, out)
 	if err := tflags.emit(tset, out); err != nil {
 		return err
 	}
-	return saveArchive(archive, outPath)
+	if err := saveArchive(archive, outPath); err != nil {
+		return err
+	}
+	return fleetExit(st)
 }
 
-func runConfigured(ctx context.Context, cfgPath, outPath string, parallel, shards int, freshBoot bool, shardExec core.ShardExecutor, mw *middleware.Spec, cflags clusterFlags, wflags workloadFlags, tflags telemetryFlags, sflags superviseFlags, fflags fleetFlags, progress func(string), out io.Writer) error {
+func runConfigured(ctx context.Context, cfgPath, outPath string, parallel int, freshBoot bool, fopts *shard.FleetOptions, mw *middleware.Spec, cflags clusterFlags, wflags workloadFlags, tflags telemetryFlags, sflags superviseFlags, progress func(string), out io.Writer) error {
 	f, err := os.Open(cfgPath)
 	if err != nil {
 		return err
@@ -633,30 +638,23 @@ func runConfigured(ctx context.Context, cfgPath, outPath string, parallel, shard
 	}
 
 	var fleetJW *journal.Writer
-	if fflags.active() {
-		// The fleet replaces both the static executor and the
-		// supervisor: worker processes isolate harness faults, and the
-		// journal (when requested) records committed runs plus the
-		// dispatch provenance trail.
-		fopts, n, ferr := fflags.options(parallel)
-		if ferr != nil {
-			return ferr
-		}
+	var fleet core.ShardExecutor
+	if fopts != nil {
+		// The fleet replaces the supervisor: worker processes isolate
+		// harness faults, and the journal (when requested) records
+		// committed runs plus the dispatch provenance trail.
 		if sflags.journal != "" {
-			fleetJW, ferr = journal.Create(sflags.journal, journalHeader(cfg, def, opts, tflags, sflags))
-			if ferr != nil {
-				return ferr
+			fleetJW, err = journal.Create(sflags.journal, journalHeader(cfg, def, opts, tflags, sflags))
+			if err != nil {
+				return err
 			}
 			fopts.Journal = fleetJW
 		}
-		shardExec = shard.NewFleet(fopts)
-		if shards = n; shards < 2 {
-			shards = 2 // engage the executor; FleetOptions sizes the fleet
-		}
+		fleet = shard.NewFleet(*fopts)
 	}
 
 	var sup *core.Supervisor
-	if sflags.active() && shards <= 1 && !fflags.active() {
+	if sflags.active() && fopts == nil {
 		sup = core.NewSupervisor(sflags.options())
 		if sflags.journal != "" {
 			jw, jerr := journal.Create(sflags.journal, journalHeader(cfg, def, opts, tflags, sflags))
@@ -671,8 +669,7 @@ func runConfigured(ctx context.Context, cfgPath, outPath string, parallel, shard
 		core.WithParallelism(parallel),
 		core.WithProgress(campaignProgress(progress)),
 		core.WithSupervision(sup),
-		core.WithShards(shards),
-		core.WithShardExecutor(shardExec),
+		core.WithShardExecutor(fleet),
 	}
 	if cfg.FaultList != "" {
 		specs, serr := loadFaultList(cfg.FaultList)

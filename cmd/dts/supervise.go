@@ -28,7 +28,7 @@ import (
 const (
 	exitInterrupted      = 3
 	exitQuarantineBudget = 4
-	// exitDegraded: a -workers fleet campaign completed — results are
+	// exitDegraded: a -workers/-shards fleet campaign completed — results are
 	// full and byte-identical — but only by falling back to in-process
 	// execution after every worker budget was exhausted.
 	exitDegraded = 5

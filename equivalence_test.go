@@ -34,7 +34,7 @@ func TestEngineEquivalence(t *testing.T) {
 		if shards > 1 {
 			opts = append(opts,
 				core.WithShards(shards),
-				core.WithShardExecutor(shard.New(shard.Options{WorkerParallelism: 1})))
+				core.WithShardExecutor(shard.NewFleet(shard.FleetOptions{WorkerParallelism: 1})))
 		}
 		set, err := core.NewCampaign(
 			core.NewRunner(workload.NewApache1(workload.Standalone), core.RunnerOptions{}),

@@ -150,10 +150,11 @@ type Campaign struct {
 	// explicit fault list (the dts fault-list-file path).
 	specs []inject.FaultSpec
 	// shards, when > 1, fans the job list out over that many worker
-	// processes through a ShardExecutor; results merge byte-identical to
-	// an unsharded run.
+	// processes through the registered ShardExecutor; results merge
+	// byte-identical to an unsharded run.
 	shards int
-	// shardExec overrides the process-registered ShardExecutor.
+	// shardExec, when non-nil, executes the job list whatever shards
+	// says; it sizes its own fleet.
 	shardExec ShardExecutor
 	// replay, when non-nil, resolves jobs from a recorded source
 	// campaign before execution (see WithReplay).
@@ -314,38 +315,38 @@ func (p *Prepared) Assemble(runs []RunResult, runErr error) (*SetResult, error) 
 }
 
 // Run executes the campaign: Prepare, then the job list on the
-// in-process worker pool — or, with Shards > 1, fanned out across
-// worker processes by the ShardExecutor — then Assemble. Cancel ctx to
-// stop between runs; a supervised campaign converts the cancellation
-// into its partial-results ErrInterrupted contract.
+// in-process worker pool — or, with WithShardExecutor or Shards > 1,
+// fanned out across worker processes by the ShardExecutor — then
+// Assemble. Cancel ctx to stop between runs; a supervised campaign
+// converts the cancellation into its partial-results ErrInterrupted
+// contract.
 func (c *Campaign) Run(ctx context.Context) (*SetResult, error) {
 	p, err := c.Prepare()
 	if err != nil {
 		return nil, err
 	}
+	// One engagement rule: an explicit executor always dispatches, and
+	// Shards > 1 dispatches on the registered default.
+	exec := c.shardExec
+	if exec == nil && c.shards > 1 {
+		if exec = registeredShardExecutor(); exec == nil {
+			return nil, errors.New("campaign: Shards > 1 but no ShardExecutor available (import ntdts/internal/shard)")
+		}
+	}
 	if c.replay != nil {
-		if c.shards > 1 || c.supervise != nil {
+		if exec != nil || c.supervise != nil {
 			return nil, errors.New("campaign: replay is mutually exclusive with sharding and supervision")
 		}
 		return c.runReplay(ctx, p)
 	}
-	if c.shards > 1 {
-		exec := c.shardExec
-		if exec == nil {
-			exec = registeredShardExecutor()
-		}
-		if exec == nil {
-			return nil, errors.New("campaign: Shards > 1 but no ShardExecutor available (import ntdts/internal/shard)")
-		}
+	if exec != nil {
 		if c.supervise != nil {
 			return nil, errors.New("campaign: sharding and supervision are mutually exclusive (each worker process already isolates harness faults; journal a shard-worker run instead)")
 		}
-		runs, runErr := exec.ExecuteShards(ctx, c, p)
+		runs, stats, runErr := exec.ExecuteShards(ctx, c, p)
 		set, err := p.Assemble(runs, runErr)
 		if set != nil {
-			if dr, ok := exec.(DispatchReporter); ok {
-				set.Dispatch = dr.DispatchStats()
-			}
+			set.Dispatch = stats
 		}
 		return set, err
 	}

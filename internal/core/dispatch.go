@@ -2,11 +2,10 @@ package core
 
 // The fleet-dispatch reporting seam. The work-stealing executor lives
 // in internal/shard (which imports core), so core sees it only through
-// the ShardExecutor interface; DispatchReporter is the optional
-// extension Campaign.Run queries after a sharded run to surface how the
-// fleet behaved — chunks redispatched, workers lost, whether the
-// campaign finished degraded. The stats ride SetResult outside the JSON
-// archive, so archives stay byte-identical at any fleet shape.
+// the ShardExecutor interface, whose ExecuteShards returns how the fleet
+// behaved — chunks redispatched, workers lost, whether the campaign
+// finished degraded. The stats ride SetResult outside the JSON archive,
+// so archives stay byte-identical at any fleet shape.
 
 // DispatchStats summarizes one fleet execution.
 type DispatchStats struct {
@@ -32,13 +31,6 @@ type DispatchStats struct {
 	Degraded bool
 	// Transport names the worker transport ("inprocess", "exec", "tcp").
 	Transport string
-}
-
-// DispatchReporter is implemented by shard executors that can describe
-// their last execution. Campaign.Run attaches the stats to the
-// SetResult when the executor offers them.
-type DispatchReporter interface {
-	DispatchStats() *DispatchStats
 }
 
 // JobKeys returns the job identity sequence of a plan — each job's spec

@@ -52,14 +52,15 @@ func WithProgress(f func(done, total int)) Option {
 	return func(c *Campaign) { c.progress = f }
 }
 
-// WithShards fans the campaign out over n worker processes (n <= 1
-// stays in-process). The executor comes from WithShardExecutor or the
-// process registration performed by importing ntdts/internal/shard.
+// WithShards fans the campaign out over n worker processes on the
+// executor registered by importing ntdts/internal/shard (n <= 1 stays
+// in-process unless WithShardExecutor names an executor).
 func WithShards(n int) Option {
 	return func(c *Campaign) { c.shards = n }
 }
 
-// WithShardExecutor overrides the registered ShardExecutor.
+// WithShardExecutor dispatches the campaign on e, whatever WithShards
+// says; e sizes its own fleet (a nil e is no executor).
 func WithShardExecutor(e ShardExecutor) Option {
 	return func(c *Campaign) { c.shardExec = e }
 }

@@ -472,7 +472,7 @@ func Replay(path string) (*Replayed, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("journal %s: corrupt %v", path, err)
+			return nil, fmt.Errorf("journal %s: corrupt %w", path, err)
 		}
 		switch line.Kind {
 		case KindHeader:

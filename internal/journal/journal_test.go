@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,6 +142,34 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	}
 	if _, err := Replay(cp); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("mid-file corruption returned %v, want corrupt-line error", err)
+	}
+}
+
+// TestJournalOverlongLineIsHardError: a final line past the line cap is
+// corruption, not a torn tail — even unterminated at the end of the
+// file, where a shorter line would be discarded as torn — and the reader
+// fails before buffering it whole.
+func TestJournalOverlongLineIsHardError(t *testing.T) {
+	dir := t.TempDir()
+	path := writeJournal(t, dir, 3)
+	os.Remove(path + ".ckpt") // isolate tail classification from checkpoints
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"kind":"run","index":3,"key":"`)
+	block := []byte(strings.Repeat("x", 1<<20))
+	for n := 0; n <= maxLineBytes; n += len(block) {
+		if _, err := f.Write(block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Replay(path)
+	if !errors.Is(err, errLineTooLong) || !strings.Contains(err.Error(), "line 6") {
+		t.Fatalf("over-cap line: Replay = %+v, %v; want a line-6 errLineTooLong hard error", rep, err)
 	}
 }
 

@@ -36,6 +36,20 @@ const (
 	KindError = "error"
 )
 
+// maxLineBytes caps one line, newline included. Workers stream over TCP
+// and pipes, so without a cap a broken or hostile worker could grow the
+// spill buffer until the coordinator runs out of memory. The longest
+// line the repo writes is the plan line of the 5193-spec catalog list:
+// 137,889 bytes (a run record with telemetry on peaks near 73 KB). The
+// cap is ~487x that, well past the 16x headroom it must keep.
+const maxLineBytes = 64 << 20
+
+// errLineTooLong reports a line longer than maxLineBytes. It is never a
+// torn tail: a writer that tears stops writing, and this line kept
+// going. Shard streams treat it as worker death; journal files as
+// corruption.
+var errLineTooLong = fmt.Errorf("journal: line exceeds %d MiB", maxLineBytes>>20)
+
 // ErrTorn reports a stream that ended mid-record: an unterminated or
 // unparsable final line. For journal files this is the signature of a
 // SIGKILLed writer (discard the tail and resume); for shard streams it
@@ -78,6 +92,9 @@ func (s *Stream) LineNo() int { return s.lineNo }
 // end of the stream is a hard error.
 func (s *Stream) Next() (*Line, error) {
 	raw, err := s.readLine()
+	if errors.Is(err, errLineTooLong) {
+		return nil, fmt.Errorf("line %d: %w", s.lineNo+1, err)
+	}
 	if err == io.EOF {
 		if len(raw) == 0 {
 			return nil, io.EOF
@@ -111,7 +128,8 @@ func (s *Stream) Next() (*Line, error) {
 // buffer and is valid only until the next call — Next decodes it before
 // reading further, and json.Unmarshal copies what it keeps, so no
 // per-record allocation survives. This keeps the shard wire path (one
-// record per completed run, streamed over a pipe) allocation-flat.
+// record per completed run, streamed over a pipe) allocation-flat. A
+// line past maxLineBytes fails before the spill buffer outgrows the cap.
 func (s *Stream) readLine() ([]byte, error) {
 	raw, err := s.br.ReadSlice('\n')
 	if err != bufio.ErrBufferFull {
@@ -120,6 +138,9 @@ func (s *Stream) readLine() ([]byte, error) {
 	s.buf = append(s.buf[:0], raw...)
 	for err == bufio.ErrBufferFull {
 		raw, err = s.br.ReadSlice('\n')
+		if len(s.buf)+len(raw) > maxLineBytes {
+			return nil, errLineTooLong
+		}
 		s.buf = append(s.buf, raw...)
 	}
 	return s.buf, err

@@ -1,8 +1,7 @@
 package shard
 
 import (
-	"bytes"
-	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,70 +38,40 @@ func TestClusterHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedClusterMatchesUnsharded: a 3-node cluster campaign fanned
-// out over shard workers produces archive, trace and metrics
-// byte-identical to the in-process run.
-func TestShardedClusterMatchesUnsharded(t *testing.T) {
-	specs := []inject.FaultSpec{
-		{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits},
-		{Function: core.ClusterServiceCrashFunction, Invocation: 5, Type: inject.FlipBits, Node: 1},
-		{Function: core.ClusterPartitionFunction, Param: 15, Invocation: 5, Type: inject.FlipBits},
-		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
-		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.ZeroBits, Node: 2},
-		{Function: "WriteFile", Param: 1, Invocation: 1, Type: inject.OneBits},
-	}
-	base, err := core.NewCampaign(newClusterRunner(3, "round-robin"),
-		core.WithParallelism(2), core.WithSpecs(specs)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantArchive, wantTrace, wantMetrics := artifacts(t, base)
+// clusterSpecs is the 3-node campaign the cluster suite dispatches: the
+// three scenario pseudo-faults plus node-addressed KERNEL32 faults.
+var clusterSpecs = []inject.FaultSpec{
+	{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits},
+	{Function: core.ClusterServiceCrashFunction, Invocation: 5, Type: inject.FlipBits, Node: 1},
+	{Function: core.ClusterPartitionFunction, Param: 15, Invocation: 5, Type: inject.FlipBits},
+	{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
+	{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.ZeroBits, Node: 2},
+	{Function: "WriteFile", Param: 1, Invocation: 1, Type: inject.OneBits},
+	{Function: "CreateFile", Param: 0, Invocation: 1, Type: inject.ZeroBits},
+	{Function: "CloseHandle", Param: 0, Invocation: 2, Type: inject.FlipBits},
+}
 
+func roundRobinCluster() *core.Runner { return newClusterRunner(3, "round-robin") }
+
+// TestShardedClusterMatchesUnsharded: a 3-node cluster campaign on a
+// fleet sized by WithShards(2/4), two runs per worker, produces archive,
+// trace and metrics byte-identical to the in-process run.
+func TestShardedClusterMatchesUnsharded(t *testing.T) {
+	var shapes []shape
 	for _, shards := range []int{2, 4} {
-		set, err := core.NewCampaign(newClusterRunner(3, "round-robin"),
-			core.WithSpecs(specs),
-			core.WithShards(shards),
-			core.WithShardExecutor(New(Options{WorkerParallelism: 2})),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		archive, trace, metrics := artifacts(t, set)
-		if !bytes.Equal(archive, wantArchive) {
-			t.Errorf("shards %d: cluster archive differs from unsharded run", shards)
-		}
-		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("shards %d: cluster telemetry trace differs from unsharded run", shards)
-		}
-		if metrics != wantMetrics {
-			t.Errorf("shards %d: cluster metrics text differs from unsharded run", shards)
-		}
+		shapes = append(shapes, shape{fmt.Sprintf("shards %d", shards), []core.Option{
+			core.WithShards(shards), core.WithShardExecutor(NewFleet(FleetOptions{WorkerParallelism: 2}))}})
 	}
+	requireMatches(t, roundRobinCluster, clusterSpecs, shapes)
 }
 
 // TestClusterFleetMatrix is the cross-transport equivalence drill: one
-// 3-node cluster campaign executed as {static shards 4, stealing fleet
-// of 4, stealing fleet with one worker killed mid-stream, TCP loopback
-// fleet} must produce archive, trace and metrics byte-identical to the
-// in-process run. CI runs this under -race.
+// 3-node cluster campaign executed as {-shards 4 (the registered
+// fleet), stealing fleet of 4, stealing fleet with one worker killed
+// mid-stream, TCP loopback fleet} must produce archive, trace and
+// metrics byte-identical to the in-process run. CI runs this under
+// -race.
 func TestClusterFleetMatrix(t *testing.T) {
-	specs := []inject.FaultSpec{
-		{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits},
-		{Function: core.ClusterServiceCrashFunction, Invocation: 5, Type: inject.FlipBits, Node: 1},
-		{Function: core.ClusterPartitionFunction, Param: 15, Invocation: 5, Type: inject.FlipBits},
-		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
-		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.ZeroBits, Node: 2},
-		{Function: "WriteFile", Param: 1, Invocation: 1, Type: inject.OneBits},
-		{Function: "CreateFile", Param: 0, Invocation: 1, Type: inject.ZeroBits},
-		{Function: "CloseHandle", Param: 0, Invocation: 2, Type: inject.FlipBits},
-	}
-	base, err := core.NewCampaign(newClusterRunner(3, "round-robin"),
-		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantArchive, wantTrace, wantMetrics := artifacts(t, base)
-
 	severing := func() Spawner {
 		inner := InProcess()
 		var spawned atomic.Int32
@@ -120,38 +89,18 @@ func TestClusterFleetMatrix(t *testing.T) {
 	tcpAddr := startWorkerServer(t, "cluster-matrix-key")
 	tcpSpawner := TCPSpawner(tcpAddr, "cluster-matrix-key", TCPOptions{})
 
-	shapes := []struct {
-		name string
-		exec core.ShardExecutor
-	}{
-		{"static-4", New(Options{WorkerParallelism: 2})},
-		{"steal-4", NewFleet(FleetOptions{Workers: 4})},
-		{"steal-4-killed", NewFleet(FleetOptions{
+	fleet := func(opts FleetOptions) []core.Option {
+		return []core.Option{core.WithShardExecutor(NewFleet(opts))}
+	}
+	requireMatches(t, roundRobinCluster, clusterSpecs, []shape{
+		{"shards-4", []core.Option{core.WithShards(4)}},
+		{"steal-4", fleet(FleetOptions{Workers: 4})},
+		{"steal-4-killed", fleet(FleetOptions{
 			Workers: 4, Spawn: severing(),
 			RedispatchBackoff: 5 * time.Millisecond,
 		})},
-		{"tcp-loopback", NewFleet(FleetOptions{
+		{"tcp-loopback", fleet(FleetOptions{
 			Spawners: []Spawner{tcpSpawner, tcpSpawner, tcpSpawner, tcpSpawner},
 		})},
-	}
-	for _, shape := range shapes {
-		set, err := core.NewCampaign(newClusterRunner(3, "round-robin"),
-			core.WithSpecs(specs),
-			core.WithShards(4),
-			core.WithShardExecutor(shape.exec),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("%s: %v", shape.name, err)
-		}
-		archive, trace, metrics := artifacts(t, set)
-		if !bytes.Equal(archive, wantArchive) {
-			t.Errorf("%s: cluster archive differs from in-process run", shape.name)
-		}
-		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("%s: cluster trace differs from in-process run", shape.name)
-		}
-		if metrics != wantMetrics {
-			t.Errorf("%s: cluster metrics differ from in-process run", shape.name)
-		}
-	}
+	})
 }

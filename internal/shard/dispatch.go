@@ -1,10 +1,9 @@
 package shard
 
-// The work-stealing fleet coordinator. Where the static Executor
-// partitions the job list into contiguous ranges up front, the Fleet
-// hands out bounded chunks of global spec indices on demand: a fast
-// worker comes back for more, a slow one strands at most one chunk, and
-// a dead one strands nothing — its chunk's uncommitted remainder is
+// The work-stealing fleet coordinator. The Fleet hands out bounded
+// chunks of global spec indices on demand: a fast worker comes back for
+// more, a slow one strands at most one chunk, and a dead one strands
+// nothing — its chunk's uncommitted remainder is
 // re-dispatched (with exponential backoff and a per-chunk retry budget)
 // to whichever worker asks next. At the tail, idle workers speculatively
 // re-execute the largest still-streaming chunk; every result commits at
@@ -26,6 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,6 +36,9 @@ import (
 
 // Fleet defaults for FleetOptions zero values.
 const (
+	DefaultHeartbeat     = 500 * time.Millisecond
+	DefaultStallDeadline = 30 * time.Second
+	DefaultMaxRespawns   = 2
 	// DefaultChunkRetries is how many re-dispatches one chunk may
 	// consume before it is drained in-process.
 	DefaultChunkRetries = 3
@@ -106,12 +110,10 @@ type FleetOptions struct {
 }
 
 // Fleet runs prepared campaigns across a work-stealing worker fleet. It
-// implements core.ShardExecutor and core.DispatchReporter.
+// implements core.ShardExecutor; it holds only options, so concurrent
+// campaigns can share one Fleet.
 type Fleet struct {
 	opts FleetOptions
-
-	mu   sync.Mutex
-	last *core.DispatchStats
 }
 
 // NewFleet builds a fleet executor with defaults filled in.
@@ -153,14 +155,6 @@ func NewFleet(opts FleetOptions) *Fleet {
 	return &Fleet{opts: opts}
 }
 
-// DispatchStats implements core.DispatchReporter: how the last
-// execution behaved.
-func (f *Fleet) DispatchStats() *core.DispatchStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.last
-}
-
 // spawnerFor picks the slot's spawner.
 func (f *Fleet) spawnerFor(slot int) Spawner {
 	if len(f.opts.Spawners) > 0 {
@@ -173,6 +167,11 @@ func (f *Fleet) spawnerFor(slot int) Spawner {
 type sessionChaos struct {
 	kill, hang, slowMS int
 }
+
+// errWorkerDied marks a detectable worker death (spawn failure,
+// severed or torn stream, stall, wedge): the chunk's remainder is
+// re-dispatched. Any other session error is fatal to the campaign.
+var errWorkerDied = errors.New("shard worker died")
 
 // errFatalReported marks a session error already recorded in the
 // dispatcher's failure slot (worker error records, protocol breaches).
@@ -187,10 +186,10 @@ type streamLine struct {
 // ExecuteShards implements core.ShardExecutor: dispatch chunks on
 // demand, merge streamed records at their global indices, survive
 // worker loss, and degrade to in-process execution before failing.
-func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Prepared) ([]core.RunResult, error) {
+func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Prepared) ([]core.RunResult, *core.DispatchStats, error) {
 	jobs := p.Jobs
 	if len(jobs) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -208,15 +207,15 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 
 	chaosKillW, chaosKillAfter, err := parseChaosKill(f.opts.ChaosKill)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	chaosHangW, chaosHangAfter, err := parseChaosKill(f.opts.ChaosHang)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	chaosSlowW, chaosSlowMS, err := parseChaosKill(f.opts.ChaosSlow)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	header := HeaderFor(c.Runner())
@@ -270,20 +269,17 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 	if stats.Degraded {
 		d.journalEvent(-1, "degraded", nil)
 	}
-	f.mu.Lock()
-	f.last = &stats
-	f.mu.Unlock()
 
 	if ctx.Err() != nil {
-		return nil, core.ErrInterrupted
+		return nil, &stats, core.ErrInterrupted
 	}
 	if failure != nil {
-		return nil, failure
+		return nil, &stats, failure
 	}
 	if committed != len(jobs) {
-		return nil, fmt.Errorf("fleet: %d of %d runs unaccounted for", len(jobs)-committed, len(jobs))
+		return nil, &stats, fmt.Errorf("fleet: %d of %d runs unaccounted for", len(jobs)-committed, len(jobs))
 	}
-	return d.results, nil
+	return d.results, &stats, nil
 }
 
 // slotLoop drives one dispatch slot through as many worker sessions as
@@ -948,4 +944,23 @@ func (d *dispatcher) grabLocal() *assignment {
 		}
 		d.cond.Wait()
 	}
+}
+
+// parseChaosKill parses a DTS_SHARD_CHAOS_* drill spec, "worker:n"
+// (empty = disabled, worker -1).
+func parseChaosKill(s string) (worker, n int, err error) {
+	if s == "" {
+		return -1, 0, nil
+	}
+	idx, rest, ok := strings.Cut(s, ":")
+	if ok {
+		worker, err = strconv.Atoi(idx)
+		if err == nil {
+			n, err = strconv.Atoi(rest)
+		}
+	}
+	if !ok || err != nil || worker < 0 || n < 1 {
+		return -1, 0, fmt.Errorf("bad chaos spec %q (want \"worker:n\")", s)
+	}
+	return worker, n, nil
 }

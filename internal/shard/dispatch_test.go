@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,41 +22,25 @@ func fleetCampaign(t *testing.T, n int, f *Fleet, extra ...core.Option) (*core.S
 	t.Helper()
 	opts := append([]core.Option{
 		core.WithSpecs(campaignSpecs(n)),
-		core.WithShards(2), // overridden by FleetOptions.Workers when set
 		core.WithShardExecutor(f),
 	}, extra...)
 	return core.NewCampaign(newRunner(true), opts...).Run(context.Background())
 }
 
-// TestFleetMatchesUnsharded is the tentpole guarantee: the same 200-spec
-// campaign the static-shard test pins, dispatched by the work-stealing
-// fleet at several shapes, merges archive, trace and metrics
-// byte-identical to the -parallel 1 run. CI runs this under -race.
+// TestFleetMatchesUnsharded is the tentpole guarantee: the 200-spec
+// campaign dispatched by the work-stealing fleet at widths 1/2/4/8 merges
+// archive, trace and metrics byte-identical to the -parallel 1 run. CI
+// runs this under -race.
 func TestFleetMatchesUnsharded(t *testing.T) {
-	specs := campaignSpecs(200)
-	base, err := core.NewCampaign(newRunner(true),
-		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	widths := []int{1, 2, 4, 8}
+	var shapes []shape
+	for _, w := range widths {
+		shapes = append(shapes, shape{fmt.Sprintf("workers %d", w),
+			[]core.Option{core.WithShardExecutor(NewFleet(FleetOptions{Workers: w, WorkerParallelism: 2}))}})
 	}
-	wantArchive, wantTrace, wantMetrics := artifacts(t, base)
-
-	for _, workers := range []int{1, 2, 4} {
-		f := NewFleet(FleetOptions{Workers: workers, WorkerParallelism: 2})
-		set, err := fleetCampaign(t, 200, f)
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		archive, trace, metrics := artifacts(t, set)
-		if !bytes.Equal(archive, wantArchive) {
-			t.Errorf("workers %d: archive differs from unsharded run", workers)
-		}
-		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("workers %d: telemetry trace differs from unsharded run", workers)
-		}
-		if metrics != wantMetrics {
-			t.Errorf("workers %d: metrics text differs from unsharded run", workers)
-		}
+	sets := requireMatches(t, func() *core.Runner { return newRunner(true) }, campaignSpecs(200), shapes)
+	for i, set := range sets {
+		workers := widths[i]
 		st := set.Dispatch
 		if st == nil || st.Workers != workers || st.Transport != "inprocess" {
 			t.Fatalf("workers %d: dispatch stats %+v", workers, st)
@@ -103,17 +89,16 @@ func TestFleetStragglerSpeculation(t *testing.T) {
 // three records: its chunk's uncommitted remainder must be
 // re-dispatched and the merged artifacts stay byte-identical.
 func TestFleetWorkerDeathRedispatch(t *testing.T) {
-	specs := campaignSpecs(60)
-	base, err := core.NewCampaign(newRunner(true),
-		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantArchive, wantTrace, _ := artifacts(t, base)
+	deathRedispatch(t, FleetOptions{Workers: 2})
+}
 
+// deathRedispatch runs a 60-spec campaign on a two-slot fleet whose
+// first worker is severed after three lines.
+func deathRedispatch(t *testing.T, opts FleetOptions, extra ...core.Option) {
+	t.Helper()
 	inner := InProcess()
 	var spawned atomic.Int32
-	spawn := func() (*Conn, error) {
+	opts.Spawn = func() (*Conn, error) {
 		conn, err := inner()
 		if err != nil {
 			return nil, err
@@ -123,24 +108,18 @@ func TestFleetWorkerDeathRedispatch(t *testing.T) {
 		}
 		return conn, nil
 	}
-	f := NewFleet(FleetOptions{
-		Workers: 2, Spawn: spawn,
-		RedispatchBackoff: 5 * time.Millisecond,
-	})
-	set, err := fleetCampaign(t, 60, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	archive, trace, _ := artifacts(t, set)
-	if !bytes.Equal(archive, wantArchive) || !bytes.Equal(trace, wantTrace) {
-		t.Error("artifacts differ from unsharded run after worker death")
-	}
-	st := set.Dispatch
-	if st.WorkerDeaths < 1 {
-		t.Errorf("severed worker not counted as a death: %+v", st)
+	opts.RedispatchBackoff = 5 * time.Millisecond
+	sets := requireMatches(t, func() *core.Runner { return newRunner(true) }, campaignSpecs(60),
+		[]shape{{"severed worker", append(extra, core.WithShardExecutor(NewFleet(opts)))}})
+	st := sets[0].Dispatch
+	if st.WorkerDeaths != 1 || st.Workers != 2 {
+		t.Errorf("severed worker: dispatch stats %+v, want 2 slots and 1 death", st)
 	}
 	if st.Degraded {
 		t.Errorf("death within the respawn budget must not degrade: %+v", st)
+	}
+	if n := spawned.Load(); n != 3 {
+		t.Errorf("%d workers spawned, want 3 (2 slots + 1 respawn)", n)
 	}
 }
 
@@ -184,41 +163,63 @@ func TestFleetWedgedWorkerProgressDeadline(t *testing.T) {
 // spawned worker drops dead on assignment — and the campaign must still
 // complete, in-process, reporting itself degraded instead of failing.
 func TestFleetDegradedCompletion(t *testing.T) {
-	specs := campaignSpecs(20)
-	base, err := core.NewCampaign(newRunner(true),
-		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantArchive, wantTrace, _ := artifacts(t, base)
+	degradedCompletion(t, FleetOptions{Workers: 2, MaxRespawns: 1, ChunkRetries: 1})
+}
 
-	dead := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
-		io.Copy(io.Discard, in) // accept the assignment, then drop dead
+// degradedCompletion runs a 20-spec campaign on a two-slot fleet whose
+// workers all die on assignment.
+func degradedCompletion(t *testing.T, opts FleetOptions, extra ...core.Option) {
+	t.Helper()
+	opts.Spawn = fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
+		st := journal.NewStream(in)
+		st.Next() // header
+		st.Next() // first chunk: accept it, then drop dead
 	})
-	f := NewFleet(FleetOptions{
-		Workers: 2, Spawn: dead,
-		MaxRespawns:       1,
-		ChunkRetries:      1,
-		RedispatchBackoff: time.Millisecond,
-		StallDeadline:     time.Second,
-	})
-	set, err := fleetCampaign(t, 20, f)
-	if err != nil {
-		t.Fatalf("budget exhaustion must degrade, not fail: %v", err)
-	}
-	archive, trace, _ := artifacts(t, set)
-	if !bytes.Equal(archive, wantArchive) || !bytes.Equal(trace, wantTrace) {
-		t.Error("degraded completion artifacts differ from unsharded run")
-	}
-	st := set.Dispatch
+	opts.RedispatchBackoff = time.Millisecond
+	sets := requireMatches(t, func() *core.Runner { return newRunner(true) }, campaignSpecs(20),
+		[]shape{{"dead fleet", append(extra, core.WithShardExecutor(NewFleet(opts)))}})
+	st := sets[0].Dispatch
 	if !st.Degraded {
 		t.Fatalf("in-process fallback not reported degraded: %+v", st)
 	}
-	if st.LocalRuns != len(base.Runs) {
-		t.Errorf("%d of %d runs executed locally", st.LocalRuns, len(base.Runs))
+	if st.LocalRuns != len(sets[0].Runs) {
+		t.Errorf("%d of %d runs executed locally", st.LocalRuns, len(sets[0].Runs))
 	}
 	if st.WorkersLost != 2 {
 		t.Errorf("%d slots reported lost, want 2", st.WorkersLost)
+	}
+}
+
+// TestFleetStatsPerCampaign shares one dead-worker Fleet between two
+// concurrent campaigns of different sizes, as dts -experiment -shards
+// does across its sets: each set must carry the stats of its own
+// execution, not whichever campaign finished last.
+func TestFleetStatsPerCampaign(t *testing.T) {
+	f := NewFleet(FleetOptions{Workers: 2, MaxRespawns: 1, ChunkRetries: 1, RedispatchBackoff: time.Millisecond,
+		Spawn: fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
+			st := journal.NewStream(in)
+			st.Next() // header
+			st.Next() // first chunk: accept it, then drop dead
+		})})
+	sizes := []int{10, 30}
+	sets := make([]*core.SetResult, len(sizes))
+	errs := make([]error, len(sizes))
+	var wg sync.WaitGroup
+	for i, n := range sizes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sets[i], errs[i] = fleetCampaign(t, n, f)
+		}()
+	}
+	wg.Wait()
+	for i, set := range sets {
+		if errs[i] != nil {
+			t.Fatalf("campaign %d: %v", i, errs[i])
+		}
+		if st := set.Dispatch; st == nil || !st.Degraded || st.LocalRuns != len(set.Runs) {
+			t.Errorf("campaign of %d runs got dispatch stats %+v", len(set.Runs), st)
+		}
 	}
 }
 
@@ -235,7 +236,6 @@ func TestFleetJournalProvenance(t *testing.T) {
 	f := NewFleet(FleetOptions{Workers: 2, Journal: jw})
 	set, err := core.NewCampaign(r,
 		core.WithSpecs(campaignSpecs(30)),
-		core.WithShards(2),
 		core.WithShardExecutor(f),
 	).Run(context.Background())
 	if err != nil {
@@ -282,15 +282,19 @@ func TestFleetJournalProvenance(t *testing.T) {
 }
 
 // TestFleetCancellation: cancelling mid-campaign surfaces
-// ErrInterrupted with no set, matching the in-process pool and the
-// static coordinator.
+// ErrInterrupted with no set, matching the in-process pool.
 func TestFleetCancellation(t *testing.T) {
+	cancellation(t, core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2})))
+}
+
+// cancellation cancels a 120-spec dispatched campaign after five runs.
+func cancellation(t *testing.T, exec core.Option) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	set, err := core.NewCampaign(newRunner(false),
 		core.WithSpecs(campaignSpecs(120)),
-		core.WithShards(2),
-		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2})),
+		exec,
 		core.WithProgress(func(done, total int) {
 			if done == 5 {
 				cancel()
@@ -306,25 +310,37 @@ func TestFleetCancellation(t *testing.T) {
 }
 
 // TestFleetWorkerErrorIsFatal: an error record is a deterministic run
-// failure — the fleet fails the campaign without burning respawns, like
-// the static coordinator.
+// failure — the fleet fails the campaign without burning respawns.
 func TestFleetWorkerErrorIsFatal(t *testing.T) {
+	errorRecordIsFatal(t, FleetOptions{Workers: 2}, false)
+}
+
+// errorRecordIsFatal runs an 8-spec campaign on a two-slot fleet whose
+// workers answer with an error record — volunteered at once, or after
+// reading the session header and the first chunk.
+func errorRecordIsFatal(t *testing.T, opts FleetOptions, readChunk bool, extra ...core.Option) {
+	t.Helper()
 	var spawned atomic.Int32
-	// Unlike the static protocol, the fleet holds the assignment stream
-	// open for more chunks — the fake worker must volunteer its error
-	// record rather than wait for stdin EOF.
 	spawn := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
-		go io.Copy(io.Discard, in) // keep the assignment stream drained
+		st := journal.NewStream(in)
+		if readChunk {
+			st.Next() // header
+			st.Next() // plan
+		}
+		// The fleet holds the assignment stream open for more chunks, so
+		// keep it drained rather than wait for EOF.
+		go func() {
+			for _, err := st.Next(); err == nil; _, err = st.Next() {
+			}
+		}()
 		io.WriteString(out, `{"kind":"error","index":3,"message":"run exploded"}`+"\n")
 	})
-	counted := func() (*Conn, error) {
+	opts.Spawn = func() (*Conn, error) {
 		spawned.Add(1)
 		return spawn()
 	}
 	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(8)),
-		core.WithShards(2),
-		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, Spawn: counted})),
+		append(extra, core.WithSpecs(campaignSpecs(8)), core.WithShardExecutor(NewFleet(opts)))...,
 	).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "run exploded") {
 		t.Fatalf("error = %v, want the worker's error message", err)
@@ -335,29 +351,8 @@ func TestFleetWorkerErrorIsFatal(t *testing.T) {
 }
 
 // TestFleetProgressContract: the fleet preserves the Progress contract
-// under work stealing — serialized, strictly +1, probes excluded.
+// under work stealing — serialized, strictly +1, probes excluded — and
+// the merged generated campaign deep-equals the in-process one.
 func TestFleetProgressContract(t *testing.T) {
-	var calls []int
-	var total int
-	set, err := core.NewCampaign(newRunner(false),
-		core.WithPaperFaithfulSkips(),
-		core.WithShards(3),
-		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 3, WorkerParallelism: 2})),
-		core.WithProgress(func(done, n int) {
-			calls = append(calls, done)
-			total = n
-		}),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != total || total == 0 || total == len(set.Runs) {
-		t.Fatalf("%d progress calls, total %d, %d runs (probes must not count)",
-			len(calls), total, len(set.Runs))
-	}
-	for i, done := range calls {
-		if done != i+1 {
-			t.Fatalf("progress call %d reported done=%d; counter must increase strictly by one", i, done)
-		}
-	}
+	generatedCampaign(t, core.WithShardExecutor(NewFleet(FleetOptions{Workers: 3, WorkerParallelism: 2})))
 }

@@ -1,10 +1,15 @@
 package shard
 
+// Shared test fixtures, plus the -shards spelling of the fleet suite:
+// each test here runs a fleet sized by WithShards (FleetOptions.Workers
+// left zero, the shape the registered default and perfbench use)
+// through the same body as its TestFleet* twin in dispatch_test.go.
+
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -68,168 +73,49 @@ func artifacts(t *testing.T, set *core.SetResult) (archive, trace []byte, metric
 	return archive, trace, metrics
 }
 
-func TestPartition(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want []Range
-	}{
-		{0, 4, nil},
-		{-1, 4, nil},
-		{5, 1, []Range{{0, 5}}},
-		{5, 2, []Range{{0, 3}, {3, 5}}},
-		{6, 3, []Range{{0, 2}, {2, 4}, {4, 6}}},
-		{7, 3, []Range{{0, 3}, {3, 5}, {5, 7}}},
-		{3, 8, []Range{{0, 1}, {1, 2}, {2, 3}}}, // k clamps to n
-		{5, 0, []Range{{0, 5}}},                 // k clamps to 1
-		{5, -2, []Range{{0, 5}}},
-	}
-	for _, c := range cases {
-		got := Partition(c.n, c.k)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Partition(%d, %d) = %v, want %v", c.n, c.k, got, c.want)
-		}
-	}
-	// Property check: contiguous cover, sizes differ by at most one.
-	for n := 1; n < 40; n++ {
-		for k := 1; k <= 10; k++ {
-			rs := Partition(n, k)
-			next, min, max := 0, n, 0
-			for _, r := range rs {
-				if r.Start != next {
-					t.Fatalf("Partition(%d, %d): gap before %v", n, k, r)
-				}
-				next = r.End
-				if r.Len() < min {
-					min = r.Len()
-				}
-				if r.Len() > max {
-					max = r.Len()
-				}
-			}
-			if next != n || max-min > 1 || min < 1 {
-				t.Fatalf("Partition(%d, %d) = %v: bad cover or balance", n, k, rs)
-			}
-		}
-	}
+// shape is one way to execute a campaign: its name and the options that
+// select the executor.
+type shape struct {
+	name string
+	opts []core.Option
 }
 
-func TestParseChaosKill(t *testing.T) {
-	if s, a, err := parseChaosKill(""); err != nil || s != -1 || a != 0 {
-		t.Fatalf("empty spec: %d %d %v", s, a, err)
-	}
-	if s, a, err := parseChaosKill("2:17"); err != nil || s != 2 || a != 17 {
-		t.Fatalf("2:17: %d %d %v", s, a, err)
-	}
-	for _, bad := range []string{"2", ":3", "2:", "x:3", "2:x", "-1:3", "2:0"} {
-		if _, _, err := parseChaosKill(bad); err == nil {
-			t.Errorf("parseChaosKill(%q): no error", bad)
-		}
-	}
-}
-
-func TestHeaderRoundTrip(t *testing.T) {
-	r := newRunner(true)
-	got, err := RunnerFromHeader(HeaderFor(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Def.Name != r.Def.Name || got.Def.Supervision != r.Def.Supervision {
-		t.Fatalf("definition drifted: %s/%s -> %s/%s",
-			r.Def.Name, r.Def.Supervision, got.Def.Name, got.Def.Supervision)
-	}
-	if got.Opts.Telemetry != r.Opts.Telemetry ||
-		got.Opts.ServerUpTimeout != r.Opts.ServerUpTimeout ||
-		got.Opts.RunDeadline != r.Opts.RunDeadline {
-		t.Fatalf("options drifted: %+v -> %+v", r.Opts, got.Opts)
-	}
-}
-
-// TestShardedMatchesUnsharded is the tentpole guarantee: a 200-spec
-// campaign fanned out over 1, 2, 4 and 8 shard workers produces an
-// archive, telemetry trace and metrics summary byte-identical to the
-// unsharded run. CI runs this under -race.
-func TestShardedMatchesUnsharded(t *testing.T) {
-	specs := campaignSpecs(200)
-	if len(specs) != 200 {
-		t.Fatalf("built %d specs, want 200", len(specs))
-	}
-	base, err := core.NewCampaign(newRunner(true),
-		core.WithParallelism(4), core.WithSpecs(specs)).Run(context.Background())
+// requireMatches runs specs in-process at -parallel 1, then once per
+// shape, and requires archive, trace and metrics byte-identical to the
+// in-process run. It returns each shape's set for further checks.
+func requireMatches(t *testing.T, mk func() *core.Runner, specs []inject.FaultSpec, shapes []shape) []*core.SetResult {
+	t.Helper()
+	base, err := core.NewCampaign(mk(),
+		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantArchive, wantTrace, wantMetrics := artifacts(t, base)
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		set, err := core.NewCampaign(newRunner(true),
-			core.WithSpecs(specs),
-			core.WithShards(shards),
-			core.WithShardExecutor(New(Options{WorkerParallelism: 2})),
-		).Run(context.Background())
+	sets := make([]*core.SetResult, len(shapes))
+	for i, sh := range shapes {
+		set, err := core.NewCampaign(mk(),
+			append([]core.Option{core.WithSpecs(specs)}, sh.opts...)...).Run(context.Background())
 		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
+			t.Fatalf("%s: %v", sh.name, err)
 		}
 		archive, trace, metrics := artifacts(t, set)
 		if !bytes.Equal(archive, wantArchive) {
-			t.Errorf("shards %d: archive differs from unsharded run", shards)
+			t.Errorf("%s: archive differs from the in-process run", sh.name)
 		}
 		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("shards %d: telemetry trace differs from unsharded run", shards)
+			t.Errorf("%s: telemetry trace differs from the in-process run", sh.name)
 		}
 		if metrics != wantMetrics {
-			t.Errorf("shards %d: metrics text differs from unsharded run", shards)
+			t.Errorf("%s: metrics text differs from the in-process run", sh.name)
 		}
+		sets[i] = set
 	}
-}
-
-// TestShardedGeneratedCampaign shards the generated catalog sweep with
-// paper-faithful skip probes: probe runs keep their positions, stay
-// invisible to Progress, and the merged set deep-equals the unsharded
-// one. The progress contract survives sharding: serialized, strictly +1,
-// ending at (total, total).
-func TestShardedGeneratedCampaign(t *testing.T) {
-	run := func(shards int, progress func(done, total int)) *core.SetResult {
-		opts := []core.Option{
-			core.WithPaperFaithfulSkips(),
-			core.WithProgress(progress),
-		}
-		if shards > 1 {
-			opts = append(opts,
-				core.WithShards(shards),
-				core.WithShardExecutor(New(Options{WorkerParallelism: 2})))
-		}
-		set, err := core.NewCampaign(newRunner(false), opts...).Run(context.Background())
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		return set
-	}
-	base := run(1, nil)
-
-	var calls []int
-	var total int
-	set := run(3, func(done, n int) {
-		calls = append(calls, done)
-		total = n
-	})
-	if !reflect.DeepEqual(base, set) {
-		t.Fatal("sharded generated campaign diverges from unsharded")
-	}
-	if len(calls) != total || total == 0 || total == len(base.Runs) {
-		// Probes are part of Runs but not of the progress total.
-		t.Fatalf("%d progress calls, total %d, %d runs (probes must not count)",
-			len(calls), total, len(base.Runs))
-	}
-	for i, done := range calls {
-		if done != i+1 {
-			t.Fatalf("progress call %d reported done=%d; counter must increase strictly by one", i, done)
-		}
-	}
+	return sets
 }
 
 // severReader passes a worker's stream through until it has delivered n
 // lines, then kills the worker — the InProcess stand-in for a SIGKILL
-// mid-shard.
+// mid-chunk.
 type severReader struct {
 	r     io.Reader
 	kill  func()
@@ -249,46 +135,6 @@ func (s *severReader) Read(p []byte) (int, error) {
 		s.kill()
 	}
 	return n, err
-}
-
-// TestWorkerDeathRedispatch kills the first worker after three streamed
-// records. The coordinator must keep the prefix, respawn the shard with
-// only its remaining jobs, and still merge a result list identical to
-// the unsharded run.
-func TestWorkerDeathRedispatch(t *testing.T) {
-	specs := campaignSpecs(60)
-	base, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(specs)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inner := InProcess()
-	var spawned atomic.Int32
-	spawn := func() (*Conn, error) {
-		conn, err := inner()
-		if err != nil {
-			return nil, err
-		}
-		if spawned.Add(1) == 1 {
-			conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: 3}
-		}
-		return conn, nil
-	}
-	set, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(specs),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{Spawn: spawn})),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, set) {
-		t.Fatal("merged set after worker death diverges from unsharded run")
-	}
-	if n := spawned.Load(); n != 3 {
-		t.Fatalf("%d workers spawned, want 3 (2 shards + 1 respawn)", n)
-	}
 }
 
 // fakeSpawner runs a hand-written protocol peer instead of ServeWorker —
@@ -316,147 +162,229 @@ func fakeSpawner(serve func(in io.Reader, out io.Writer, killed <-chan struct{})
 	}
 }
 
-// TestWorkerErrorRecordIsFatal: an error record is a deterministic run
-// failure, not a worker death — the campaign fails without respawning.
-func TestWorkerErrorRecordIsFatal(t *testing.T) {
-	var spawned atomic.Int32
-	spawn := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
-		io.Copy(io.Discard, in)
-		io.WriteString(out, `{"kind":"error","index":7,"message":"run exploded"}`+"\n")
-	})
-	counted := func() (*Conn, error) {
-		spawned.Add(1)
-		return spawn()
-	}
-	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(8)),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{Spawn: counted})),
-	).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "run exploded") {
-		t.Fatalf("error = %v, want the worker's error message", err)
-	}
-	if !strings.Contains(err.Error(), "shard 0") {
-		t.Fatalf("error = %v, want the lowest shard's failure", err)
-	}
-	if n := spawned.Load(); n != 2 {
-		t.Fatalf("%d workers spawned, want 2 (error records must not respawn)", n)
+// firstThen spawns first for the first session and InProcess workers
+// after that, counting spawns.
+func firstThen(first Spawner, spawned *atomic.Int32) Spawner {
+	inner := InProcess()
+	return func() (*Conn, error) {
+		if spawned.Add(1) == 1 {
+			return first()
+		}
+		return inner()
 	}
 }
 
-// TestWorkerPrematureDoneIsFatal: a done record with runs still open is
-// protocol corruption, not death — fail, don't respawn.
-func TestWorkerPrematureDoneIsFatal(t *testing.T) {
-	spawn := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
-		io.Copy(io.Discard, in)
+func TestParseChaosKill(t *testing.T) {
+	if w, n, err := parseChaosKill(""); err != nil || w != -1 || n != 0 {
+		t.Fatalf("empty spec: %d %d %v", w, n, err)
+	}
+	if w, n, err := parseChaosKill("2:17"); err != nil || w != 2 || n != 17 {
+		t.Fatalf("2:17: %d %d %v", w, n, err)
+	}
+	for _, bad := range []string{"2", ":3", "2:", "x:3", "2:x", "-1:3", "2:0"} {
+		if _, _, err := parseChaosKill(bad); err == nil || !strings.Contains(err.Error(), "worker:n") {
+			t.Errorf("parseChaosKill(%q): err = %v, want a worker:n parse error", bad, err)
+		}
+	}
+	// Every drill knob reaches the same parser.
+	for _, opts := range []FleetOptions{{ChaosKill: "bogus"}, {ChaosHang: "bogus"}, {ChaosSlow: "bogus"}} {
+		_, err := core.NewCampaign(newRunner(false), core.WithSpecs(campaignSpecs(2)),
+			core.WithShardExecutor(NewFleet(opts))).Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "bad chaos spec") {
+			t.Errorf("%+v: err = %v, want a chaos spec error", opts, err)
+		}
+	}
+}
+
+func TestHeaderRoundTrip(t *testing.T) {
+	r := newRunner(true)
+	got, err := RunnerFromHeader(HeaderFor(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Def.Name != r.Def.Name || got.Def.Supervision != r.Def.Supervision {
+		t.Fatalf("definition drifted: %s/%s -> %s/%s",
+			r.Def.Name, r.Def.Supervision, got.Def.Name, got.Def.Supervision)
+	}
+	if got.Opts.Telemetry != r.Opts.Telemetry ||
+		got.Opts.ServerUpTimeout != r.Opts.ServerUpTimeout ||
+		got.Opts.RunDeadline != r.Opts.RunDeadline {
+		t.Fatalf("options drifted: %+v -> %+v", r.Opts, got.Opts)
+	}
+}
+
+// TestShardedMatchesUnsharded pins -shards 1/2/4/8 at the core layer:
+// WithShards alone runs the registered fleet (1 stays in-process), and
+// the 200-spec campaign's archive, trace and metrics stay byte-identical
+// to the in-process run. CI runs this under -race.
+func TestShardedMatchesUnsharded(t *testing.T) {
+	var shapes []shape
+	for _, shards := range []int{1, 2, 4, 8} {
+		shapes = append(shapes, shape{fmt.Sprintf("shards %d", shards), []core.Option{core.WithShards(shards)}})
+	}
+	sets := requireMatches(t, func() *core.Runner { return newRunner(true) }, campaignSpecs(200), shapes)
+	if sets[0].Dispatch != nil {
+		t.Errorf("-shards 1 dispatched to a fleet: %+v", sets[0].Dispatch)
+	}
+	for i, set := range sets[1:] {
+		if st := set.Dispatch; st == nil || st.Workers != []int{2, 4, 8}[i] || st.Degraded {
+			t.Errorf("%s: dispatch stats %+v", shapes[i+1].name, st)
+		}
+	}
+}
+
+// TestShardedGeneratedCampaign runs the generated catalog sweep with
+// paper-faithful skip probes on a fleet sized by WithShards: probes keep
+// their positions and stay invisible to Progress, and the merged set
+// deep-equals the in-process one.
+func TestShardedGeneratedCampaign(t *testing.T) {
+	generatedCampaign(t, core.WithShards(3), core.WithShardExecutor(NewFleet(FleetOptions{WorkerParallelism: 2})))
+}
+
+// generatedCampaign checks the probe and progress contract of a
+// dispatched generated campaign: serialized, strictly +1, probes
+// excluded, ending at (total, total).
+func generatedCampaign(t *testing.T, exec ...core.Option) {
+	t.Helper()
+	base, err := core.NewCampaign(newRunner(false), core.WithPaperFaithfulSkips()).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls []int
+	var total int
+	set, err := core.NewCampaign(newRunner(false), append(exec,
+		core.WithPaperFaithfulSkips(),
+		core.WithProgress(func(done, n int) {
+			calls = append(calls, done)
+			total = n
+		}))...).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Dispatch = nil // provenance, outside the archive
+	if !reflect.DeepEqual(base, set) {
+		t.Fatal("dispatched generated campaign diverges from the in-process run")
+	}
+	if len(calls) != total || total == 0 || total == len(set.Runs) {
+		t.Fatalf("%d progress calls, total %d, %d runs (probes must not count)",
+			len(calls), total, len(set.Runs))
+	}
+	for i, done := range calls {
+		if done != i+1 {
+			t.Fatalf("progress call %d reported done=%d; counter must increase strictly by one", i, done)
+		}
+	}
+}
+
+// TestWorkerDeathRedispatch: the death drill on a fleet sized by
+// WithShards(2).
+func TestWorkerDeathRedispatch(t *testing.T) {
+	deathRedispatch(t, FleetOptions{}, core.WithShards(2))
+}
+
+// TestWorkerErrorRecordIsFatal: the error-record drill on a fleet sized
+// by WithShards(2), with a worker that reads its chunk before failing.
+func TestWorkerErrorRecordIsFatal(t *testing.T) {
+	errorRecordIsFatal(t, FleetOptions{}, true, core.WithShards(2))
+}
+
+// TestWorkerPrematureDoneRedispatches: a done record with runs still
+// open means the worker quit early. The fleet treats that as a death:
+// the chunk is re-dispatched and the archive still matches.
+func TestWorkerPrematureDoneRedispatches(t *testing.T) {
+	var spawned atomic.Int32
+	quitter := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
+		go io.Copy(io.Discard, in)
 		io.WriteString(out, `{"kind":"done","index":0}`+"\n")
 	})
-	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(6)),
-		core.WithShards(1+1),
-		core.WithShardExecutor(New(Options{Spawn: spawn})),
-	).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "runs missing") {
-		t.Fatalf("error = %v, want a missing-runs protocol failure", err)
+	f := NewFleet(FleetOptions{Spawn: firstThen(quitter, &spawned), RedispatchBackoff: time.Millisecond})
+	sets := requireMatches(t, func() *core.Runner { return newRunner(true) }, campaignSpecs(12),
+		[]shape{{"premature done", []core.Option{core.WithShards(2), core.WithShardExecutor(f)}}})
+	if st := sets[0].Dispatch; st.WorkerDeaths != 1 || st.Degraded {
+		t.Errorf("premature done: dispatch stats %+v, want one death and no degradation", st)
 	}
 }
 
 // TestStallDetectionRespawns: a worker that accepts its assignment and
 // then goes silent — no records, no heartbeats — is killed at the stall
-// deadline and its whole shard re-dispatched.
+// deadline and its chunk re-dispatched to a respawned worker. One slot,
+// so no sibling can speculate the chunk away first.
 func TestStallDetectionRespawns(t *testing.T) {
-	specs := campaignSpecs(20)
-	base, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(specs)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inner := InProcess()
 	var spawned atomic.Int32
-	wedged := fakeSpawner(func(in io.Reader, out io.Writer, killed <-chan struct{}) {
+	silent := fakeSpawner(func(in io.Reader, out io.Writer, killed <-chan struct{}) {
 		io.Copy(io.Discard, in)
 		<-killed
 	})
-	spawn := func() (*Conn, error) {
-		if spawned.Add(1) == 1 {
-			return wedged()
-		}
-		return inner()
-	}
-	set, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(specs),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{
-			Spawn:         spawn,
-			StallDeadline: 50 * time.Millisecond,
-			Heartbeat:     10 * time.Millisecond,
-		})),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, set) {
-		t.Fatal("merged set after stalled worker diverges from unsharded run")
-	}
-	if n := spawned.Load(); n != 3 {
-		t.Fatalf("%d workers spawned, want 3 (2 shards + 1 stall respawn)", n)
-	}
-}
-
-// TestRespawnBudgetExhausted: a shard whose workers keep dying fails the
-// campaign once MaxRespawns replacements are used up.
-func TestRespawnBudgetExhausted(t *testing.T) {
-	spawn := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
-		io.Copy(io.Discard, in) // accept the assignment, then drop dead
+	f := NewFleet(FleetOptions{
+		Spawn:             firstThen(silent, &spawned),
+		StallDeadline:     50 * time.Millisecond,
+		Heartbeat:         10 * time.Millisecond,
+		RedispatchBackoff: time.Millisecond,
 	})
-	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(10)),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{Spawn: spawn, MaxRespawns: 1})),
-	).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "workers died") {
-		t.Fatalf("error = %v, want a respawn-budget failure", err)
+	sets := requireMatches(t, func() *core.Runner { return newRunner(true) }, campaignSpecs(20),
+		[]shape{{"silent worker", []core.Option{core.WithShards(1), core.WithShardExecutor(f)}}})
+	if n := spawned.Load(); n != 2 {
+		t.Fatalf("%d workers spawned, want 2 (1 slot + 1 stall respawn)", n)
 	}
-	if !errors.Is(err, errWorkerDied) {
-		t.Fatalf("error %v does not wrap errWorkerDied", err)
+	if st := sets[0].Dispatch; st.WorkerDeaths != 1 || st.Redispatched < 1 || st.Degraded {
+		t.Errorf("silent worker: dispatch stats %+v", st)
 	}
 }
 
-// TestShardedCancellation: cancelling the context mid-campaign kills the
-// workers and surfaces ErrInterrupted, the same contract as the
-// in-process pool.
+// TestRespawnBudgetExhausted: on a fleet sized by WithShards(2) whose
+// workers keep dying, exhausting MaxRespawns ends in degraded
+// completion, not an error.
+func TestRespawnBudgetExhausted(t *testing.T) {
+	degradedCompletion(t, FleetOptions{MaxRespawns: 1}, core.WithShards(2))
+}
+
+// TestShardedCancellation: the cancellation contract on the registered
+// fleet, engaged by WithShards(2) alone.
 func TestShardedCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	set, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(120)),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{})),
-		core.WithProgress(func(done, total int) {
-			if done == 5 {
-				cancel()
-			}
-		}),
-	).Run(ctx)
-	if !errors.Is(err, core.ErrInterrupted) {
-		t.Fatalf("error = %v, want ErrInterrupted", err)
-	}
-	if set != nil {
-		t.Fatal("cancelled unsupervised campaign must not return a set")
+	cancellation(t, core.WithShards(2))
+}
+
+// TestShardingRejectsSupervision: dispatch and supervision are mutually
+// exclusive by design, however the executor is engaged; the conflict
+// must be a clear error, not a hang.
+func TestShardingRejectsSupervision(t *testing.T) {
+	for name, exec := range map[string]core.Option{
+		"WithShards":        core.WithShards(2),
+		"WithShardExecutor": core.WithShardExecutor(NewFleet(FleetOptions{Workers: 1})),
+	} {
+		_, err := core.NewCampaign(newRunner(false),
+			core.WithSpecs(campaignSpecs(4)),
+			exec,
+			core.WithSupervision(core.NewSupervisor(core.SupervisorOptions{MaxAttempts: 1})),
+		).Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+			t.Errorf("%s: error = %v, want the sharding/supervision conflict", name, err)
+		}
 	}
 }
 
-// TestShardingRejectsSupervision: the two resilience layers are mutually
-// exclusive by design; the conflict must be a clear error, not a hang.
-func TestShardingRejectsSupervision(t *testing.T) {
-	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(4)),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{})),
-		core.WithSupervision(core.NewSupervisor(core.SupervisorOptions{MaxAttempts: 1})),
-	).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("error = %v, want the sharding/supervision conflict", err)
+// TestOverlongLineIsWorkerDeath: a worker that streams a line past the
+// journal reader's 64 MiB cap is treated like a dead one — the
+// coordinator never buffers the line whole, the chunk is re-dispatched,
+// and the archive still matches the in-process run. One slot, so no
+// sibling can speculate the chunk away before the cap trips.
+func TestOverlongLineIsWorkerDeath(t *testing.T) {
+	var spawned atomic.Int32
+	flood := fakeSpawner(func(in io.Reader, out io.Writer, killed <-chan struct{}) {
+		go io.Copy(io.Discard, in)
+		block := bytes.Repeat([]byte("x"), 1<<20)
+		io.WriteString(out, `{"kind":"heartbeat","pad":"`)
+		for i := 0; i < 65; i++ { // 65 MiB, one past the cap
+			if _, err := out.Write(block); err != nil {
+				return // the coordinator gave up on the line
+			}
+		}
+		<-killed
+	})
+	f := NewFleet(FleetOptions{Spawn: firstThen(flood, &spawned), RedispatchBackoff: time.Millisecond})
+	sets := requireMatches(t, func() *core.Runner { return newRunner(true) }, campaignSpecs(12),
+		[]shape{{"over-cap line", []core.Option{core.WithShardExecutor(f)}}})
+	if st := sets[0].Dispatch; st.WorkerDeaths != 1 || st.Degraded {
+		t.Errorf("over-cap line: dispatch stats %+v, want one death and no degradation", st)
 	}
 }

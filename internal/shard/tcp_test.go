@@ -159,7 +159,6 @@ func TestTCPReconnectResume(t *testing.T) {
 	})
 	set, err := core.NewCampaign(newRunner(true),
 		core.WithSpecs(specs),
-		core.WithShards(2), // engages the executor; slots = len(Spawners) = 1
 		core.WithShardExecutor(f),
 	).Run(context.Background())
 	if err != nil {
@@ -227,7 +226,6 @@ func TestTCPRedialBudgetIsWorkerDeath(t *testing.T) {
 	})
 	set, err := core.NewCampaign(newRunner(true),
 		core.WithSpecs(specs),
-		core.WithShards(2), // engages the executor; slots = len(Spawners) = 1
 		core.WithShardExecutor(f),
 	).Run(context.Background())
 	if err != nil {

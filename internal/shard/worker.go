@@ -6,13 +6,9 @@ package shard
 // streams back as a journal run record the moment it completes; a done
 // record closes the session. The coordinator owns ordering — records
 // carry their global job-list index — so the worker never buffers or
-// sorts.
-//
-// The static shard coordinator sends exactly one plan and closes the
-// assignment stream, so its workers behave as before: one chunk, done.
-// The work-stealing fleet keeps the stream open and feeds chunk after
-// chunk to the same session, which amortizes the runner build and keeps
-// the worker's streamed prefix final across chunks.
+// sorts. The fleet keeps one session open for chunk after chunk, which
+// amortizes the runner build and keeps the worker's streamed prefix
+// final across chunks.
 
 import (
 	"encoding/json"

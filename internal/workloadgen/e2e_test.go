@@ -171,7 +171,7 @@ func runCampaign(t *testing.T, def workload.Definition, parallel, shards int) []
 	if shards > 1 {
 		opts = append(opts,
 			core.WithShards(shards),
-			core.WithShardExecutor(shard.New(shard.Options{WorkerParallelism: 1})))
+			core.WithShardExecutor(shard.NewFleet(shard.FleetOptions{WorkerParallelism: 1})))
 	}
 	set, err := core.NewCampaign(
 		core.NewRunner(def, core.RunnerOptions{}), opts...).Run(context.Background())
