@@ -13,7 +13,6 @@ package ntsim
 
 import (
 	"fmt"
-	"time"
 
 	"ntdts/internal/telemetry"
 	"ntdts/internal/vclock"
@@ -36,46 +35,18 @@ type SyscallInterceptor interface {
 	BeforeSyscall(pid PID, procName string, fn string, raw []uint64)
 }
 
-// Kernel is the simulated NT kernel: scheduler, process table, object
-// manager, filesystem and pipe namespace. Create one per experiment run.
+// Kernel is the simulated NT kernel: process table, object manager,
+// filesystem and pipe namespace, scheduled by its embedded scheduler.
+// Create one per experiment run. A standalone kernel owns a one-kernel
+// scheduler; a Machine node shares the machine's, so Step, Run, Idle and
+// KillAll on a node act on the whole machine.
 type Kernel struct {
-	clock  *vclock.Clock
+	*sched
+
 	procs  map[PID]*Process
 	images map[string]EntryFunc
 
-	// mach is non-nil when this kernel is one node of a Machine. The
-	// kernel then shares the machine's clock and parks its ready
-	// processes on the machine's global ring; Step delegates to the
-	// machine scheduler and the elision fast path stays disabled (its
-	// solo-process reasoning is per-kernel and unsound across nodes).
-	mach *Machine
-
 	nextPID PID
-	// ready is a ring: entries [readyHead:len) are queued. Popping moves
-	// the head index instead of re-slicing, so the backing array is
-	// reused for the whole run rather than re-grown every quantum (the
-	// single hottest allocation site in a campaign profile).
-	ready     []*Process
-	readyHead int
-	current   *Process
-
-	// procYield is signaled by the running process when it blocks,
-	// terminates, or otherwise relinquishes the CPU.
-	procYield chan struct{}
-
-	// attn is raised by kernel-side state changes that a harness Step
-	// loop polls for (SCM status transitions). While set, the scheduler
-	// fast path stops eliding handoffs so the harness observes the
-	// change at exactly the quantum boundary it would have without
-	// elision. Cleared at every Step entry.
-	attn bool
-
-	// ceil bounds how far the scheduler fast path may run without
-	// returning control to the harness. Elision is disabled entirely
-	// until a ceiling is set (SetSchedCeiling or Kernel.Run), so bare
-	// Step loops keep the exact legacy handoff-per-quantum behaviour.
-	ceil    vclock.Time
-	ceilSet bool
 
 	vfs   *VFS
 	pipes map[string][]*PipeServer // pipe name -> listening instances
@@ -103,29 +74,24 @@ type Kernel struct {
 // NewKernel returns a kernel with an empty process table, a fresh virtual
 // clock, and the default cost model.
 func NewKernel() *Kernel {
-	return newKernelWithClock(vclock.New())
+	return newKernel(newSched())
 }
 
-// newKernelWithClock returns a kernel driven by the given clock. Machine
-// nodes share one clock; standalone kernels own theirs.
-func newKernelWithClock(c *vclock.Clock) *Kernel {
-	return &Kernel{
-		clock:     c,
-		procs:     make(map[PID]*Process),
-		images:    make(map[string]EntryFunc),
-		procYield: make(chan struct{}),
-		vfs:       NewVFS(),
-		pipes:     make(map[string][]*PipeServer),
-		costs:     DefaultCosts(),
-		tel:       telemetry.Nop{},
+// newKernel returns a kernel attached to s as its next kernel. Machine
+// nodes share one scheduler; standalone kernels own theirs.
+func newKernel(s *sched) *Kernel {
+	k := &Kernel{
+		sched:  s,
+		procs:  make(map[PID]*Process),
+		images: make(map[string]EntryFunc),
+		vfs:    NewVFS(),
+		pipes:  make(map[string][]*PipeServer),
+		costs:  DefaultCosts(),
+		tel:    telemetry.Nop{},
 	}
+	s.kernels = append(s.kernels, k)
+	return k
 }
-
-// Clock exposes the kernel's virtual clock.
-func (k *Kernel) Clock() *vclock.Clock { return k.clock }
-
-// Now returns the current virtual time.
-func (k *Kernel) Now() vclock.Time { return k.clock.Now() }
 
 // VFS exposes the kernel's virtual filesystem (for test setup and the DTS
 // data collector, which reads the watchd log file).
@@ -232,109 +198,9 @@ func (k *Kernel) Spawn(image, cmdLine string, parent PID) (*Process, error) {
 	return p, nil
 }
 
-// makeReady appends p to the ready queue if it is not already queued. A
-// machine-attached kernel queues on the machine's global ring instead, so
-// one scheduler interleaves every node's processes in wake order.
-func (k *Kernel) makeReady(p *Process) {
-	if p.state == procTerminated {
-		return
-	}
-	if p.state != procReady {
-		p.state = procReady
-	}
-	if p.queued {
-		return
-	}
-	p.queued = true
-	if k.mach != nil {
-		k.mach.ready = append(k.mach.ready, p)
-		return
-	}
-	k.ready = append(k.ready, p)
-}
-
-// readyCount reports how many processes are queued for the CPU.
-func (k *Kernel) readyCount() int { return len(k.ready) - k.readyHead }
-
-// popReady removes and returns the head of the ready ring.
-func (k *Kernel) popReady() *Process {
-	p := k.ready[k.readyHead]
-	k.ready[k.readyHead] = nil
-	k.readyHead++
-	if k.readyHead == len(k.ready) {
-		k.ready = k.ready[:0]
-		k.readyHead = 0
-	}
-	return p
-}
-
-// RequestAttention asks the scheduler to return control to the harness at
-// the next quantum boundary. Kernel-adjacent services (the SCM) call it
-// when they change state a harness Step loop polls for, so the scheduler
-// fast path never coalesces quanta across an observation the slow path
-// would have made. The flag clears at the next Step entry.
-func (k *Kernel) RequestAttention() { k.attn = true }
-
-// SetSchedCeiling authorizes the scheduler fast path up to (but not
-// including) ceil: while the running process is alone, with no due or
-// intervening timer work and no attention request, its end-of-quantum
-// handoffs and solo sleeps are elided — the clock advances without the
-// park/resume channel round-trip — exactly until the first boundary at
-// which a harness loop stepping with `for cond && k.Now().Before(ceil)`
-// would regain control. Telemetry quanta counters are maintained as if
-// every elided handoff had happened, so traces and archives stay
-// byte-identical. Harness loops that poll other conditions must pair the
-// ceiling with RequestAttention on those conditions' state changes.
-func (k *Kernel) SetSchedCeiling(ceil vclock.Time) {
-	k.ceil = ceil
-	k.ceilSet = true
-}
-
-// ClearSchedCeiling disables the scheduler fast path (the default).
-func (k *Kernel) ClearSchedCeiling() { k.ceilSet = false }
-
-// canElide reports whether the running process may skip the end-of-quantum
-// handoff: a ceiling is set and not yet reached, no other process is
-// ready, no timer is due at or before the current instant, and nothing
-// has requested harness attention. Under those conditions the slow path's
-// next Step would fire no timers and resume this same process — a pure
-// channel round-trip the fast path replaces with one counter increment.
-func (k *Kernel) canElide() bool {
-	if !k.ceilSet || k.attn || k.mach != nil || k.readyCount() != 0 {
-		return false
-	}
-	now := k.clock.Now()
-	if !now.Before(k.ceil) {
-		return false
-	}
-	if next, ok := k.clock.NextAt(); ok && !next.After(now) {
-		return false
-	}
-	return true
-}
-
-// canElideSleep reports whether a solo sleeping process may advance the
-// clock directly to wake instead of scheduling a wake event and parking:
-// additionally to the canElide conditions, the wake must precede the
-// ceiling (or the slow path would abandon the sleeper at the boundary)
-// and strictly precede every queued event (an event at or before the wake
-// instant would fire first and could change what the sleeper observes).
-func (k *Kernel) canElideSleep(wake vclock.Time) bool {
-	if !k.ceilSet || k.attn || k.mach != nil || k.readyCount() != 0 {
-		return false
-	}
-	if !wake.Before(k.ceil) {
-		return false
-	}
-	if next, ok := k.clock.NextAt(); ok && !next.After(wake) {
-		return false
-	}
-	return true
-}
-
 // wake transitions a blocked process to ready with the given wait result.
-// It queues on the process's own kernel: pipe wakes may originate from a
-// peer kernel in a cluster machine (the writer's end lives on another
+// It queues on the process's own scheduler: pipe wakes may originate from
+// a peer kernel in a cluster machine (the writer's end lives on another
 // node), and the sleeper must run on its home scheduler.
 func (k *Kernel) wake(p *Process, result uint32, errno Errno) {
 	if p.state != procBlocked {
@@ -345,111 +211,9 @@ func (k *Kernel) wake(p *Process, result uint32, errno Errno) {
 	p.k.makeReady(p)
 }
 
-// Step executes one scheduling quantum: first it fires every timer event
-// that is already due (so a process that burned a long CPU slice cannot
-// starve waiters whose deadlines passed meanwhile), then it resumes the
-// next ready process until it yields, or — if none is ready — advances the
-// virtual clock to the next timer event. It reports false when the
-// simulation is fully idle (no ready processes and no pending events).
-func (k *Kernel) Step() bool {
-	if k.mach != nil {
-		return k.mach.Step()
-	}
-	k.attn = false
-	for {
-		next, ok := k.clock.NextAt()
-		if !ok || next.After(k.clock.Now()) {
-			break
-		}
-		k.clock.RunNext()
-	}
-	for k.readyCount() > 0 {
-		p := k.popReady()
-		p.queued = false
-		if p.state != procReady {
-			continue // stale queue entry (e.g., terminated meanwhile)
-		}
-		p.state = procRunning
-		k.current = p
-		k.tel.Add(telemetry.CtrSchedQuanta, 1)
-		p.resume <- resumeAction{kill: p.pendingKill, killCode: p.pendingKillCode}
-		<-k.procYield
-		k.current = nil
-		return true
-	}
-	return k.clock.RunNext()
-}
-
-// Run steps the simulation until it is fully idle or the virtual clock
-// passes deadline. It returns the number of scheduling quanta executed.
-func (k *Kernel) Run(deadline vclock.Time) int {
-	// Run's continue-condition is now <= deadline, so the fast-path
-	// ceiling is one tick past it; the previous ceiling (if any) is
-	// restored so nested harness loops keep their own bound.
-	prevCeil, prevSet := k.ceil, k.ceilSet
-	k.SetSchedCeiling(deadline + 1)
-	defer func() {
-		k.ceil, k.ceilSet = prevCeil, prevSet
-	}()
-	n := 0
-	for {
-		if k.clock.Now().After(deadline) {
-			return n
-		}
-		// If nothing is ready and the next timer is beyond the
-		// deadline, stop without firing it.
-		if k.readyCount() == 0 {
-			next, ok := k.clock.NextAt()
-			if !ok || next.After(deadline) {
-				return n
-			}
-		}
-		if !k.Step() {
-			return n
-		}
-		n++
-	}
-}
-
-// RunFor is Run with a relative deadline.
-func (k *Kernel) RunFor(d time.Duration) int {
-	return k.Run(k.clock.Now().Add(d))
-}
-
-// Idle reports whether no process is ready and no timer events are pending.
-func (k *Kernel) Idle() bool {
-	if k.readyCount() > 0 {
-		return false
-	}
-	_, ok := k.clock.NextAt()
-	return !ok
-}
-
 // LiveProcesses reports the number of processes that have started and not
 // yet terminated.
 func (k *Kernel) LiveProcesses() int { return k.liveProcs }
-
-// KillAll terminates every live process (used between fault-injection runs
-// to tear the workload down, mirroring DTS "workload termination").
-// Termination runs in PID order — not process-map order — so the teardown
-// sequence, and therefore the telemetry trace, is deterministic.
-func (k *Kernel) KillAll() {
-	for _, p := range k.Processes() {
-		if p.state != procTerminated {
-			p.Terminate(ExitTerminated)
-		}
-	}
-	// Let terminations unwind.
-	if k.mach != nil {
-		for k.mach.readyCount() > 0 {
-			k.mach.Step()
-		}
-		return
-	}
-	for k.readyCount() > 0 {
-		k.Step()
-	}
-}
 
 // dispatchSyscall runs the interceptor over the raw parameters of a call.
 // The win32 layer calls this once per API function invocation. The

@@ -197,3 +197,27 @@ func TestMachineKillAll(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineNodeDrivesMachine: a node shares the machine's scheduler, so
+// its Idle, Run and RunFor see the machine-wide ready ring. (A node once
+// read a private ring that was always empty: Idle reported true with a
+// process ready and RunFor ran nothing.)
+func TestMachineNodeDrivesMachine(t *testing.T) {
+	m := NewMachine()
+	k1, k2 := m.AddKernel(), m.AddKernel()
+	k1.RegisterImage("a.exe", func(p *Process) uint32 {
+		p.SleepFor(time.Millisecond)
+		return 0
+	})
+	p := mustSpawn(t, k1, "a.exe", "")
+	if k1.Idle() || k2.Idle() || m.Idle() {
+		t.Fatalf("Idle with a process ready: k1=%v k2=%v m=%v", k1.Idle(), k2.Idle(), m.Idle())
+	}
+	if n := k2.RunFor(time.Second); n == 0 {
+		t.Fatal("RunFor on a node ran no quanta")
+	}
+	if !p.Terminated() || !k1.Idle() || !m.Idle() {
+		t.Fatalf("terminated=%v k1.Idle=%v m.Idle=%v after RunFor", p.Terminated(), k1.Idle(), m.Idle())
+	}
+	checkNoPanics(t, k1)
+}

@@ -138,7 +138,10 @@ func (p *Process) finalize(code uint32) {
 		p.closeHandleInternal(h)
 	}
 	p.obj.signalExit(p.k)
-	p.k.procYield <- struct{}{}
+	// Exit always returns the CPU to the harness, never hands it to a
+	// peer: harness loops observe completion (report.Done, Terminated)
+	// at exactly this boundary.
+	p.k.yield <- struct{}{}
 }
 
 // Kernel returns the hosting kernel.
@@ -194,11 +197,13 @@ func (p *Process) ChargeTime(d time.Duration) {
 }
 
 // relinquish requeues the running process at the back of the ready queue
-// and hands the CPU to the kernel (end-of-quantum preemption). When the
-// process is alone with no due timer work and the harness has granted a
-// scheduling ceiling, the handoff is elided: the slow path's next Step
-// would only resume this same process, so the park/resume channel
-// round-trip collapses to the quanta counter it would have produced.
+// and gives up the CPU (end-of-quantum preemption). When the process is
+// alone with no due timer work and the harness has granted a scheduling
+// ceiling, the handoff is elided: the slow path's next Step would only
+// resume this same process, so the park/resume channel round-trip
+// collapses to the quanta counter it would have produced. Otherwise the
+// CPU goes straight to the ready head when the fast path is open (see
+// sched.handoff), or back to the harness.
 func (p *Process) relinquish() {
 	p.checkAlive()
 	k := p.k
@@ -207,7 +212,7 @@ func (p *Process) relinquish() {
 		return
 	}
 	k.makeReady(p)
-	k.procYield <- struct{}{}
+	k.handoff()
 	act := <-p.resume
 	if act.kill {
 		panic(killSignal{act.killCode})
@@ -228,7 +233,7 @@ func (p *Process) checkAlive() {
 func (p *Process) block() (uint32, Errno) {
 	p.checkAlive()
 	p.state = procBlocked
-	p.k.procYield <- struct{}{}
+	p.k.handoff()
 	act := <-p.resume
 	if act.kill {
 		if p.waitCancel != nil {
