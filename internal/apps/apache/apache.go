@@ -182,38 +182,12 @@ func serveRequest(api *win32.API, conn httpwire.Conn, docRoot string, req httpwi
 	case req.Method != "GET":
 		httpwire.WriteResponse(conn, httpwire.Response{Status: 400})
 	case req.Path == "/" || req.Path == "/index.html":
-		serveStatic(api, conn, docRoot+`\index.html`)
+		common.ServeStatic(api, conn, docRoot+`\index.html`)
 	case req.Path == "/cgi-bin/info":
 		serveCGI(api, conn)
 	default:
 		httpwire.WriteResponse(conn, httpwire.Response{Status: 404})
 	}
-}
-
-// serveStatic streams a file from the document root.
-func serveStatic(api *win32.API, conn httpwire.Conn, path string) {
-	h := api.CreateFileA(path, win32.GenericRead, 0, win32.OpenExisting, 0)
-	if h == win32.InvalidHandle {
-		httpwire.WriteResponse(conn, httpwire.Response{Status: 404})
-		return
-	}
-	size := api.GetFileSize(h, nil)
-	if size == 0xFFFFFFFF {
-		api.CloseHandle(h)
-		httpwire.WriteResponse(conn, httpwire.Response{Status: 500})
-		return
-	}
-	body := make([]byte, 0, size)
-	buf := make([]byte, 8192)
-	for uint32(len(body)) < size {
-		var n uint32
-		if !api.ReadFile(h, buf, uint32(len(buf)), &n) || n == 0 {
-			break
-		}
-		body = append(body, buf[:n]...)
-	}
-	api.CloseHandle(h)
-	httpwire.WriteResponse(conn, httpwire.Response{Status: 200, Body: body})
 }
 
 // serveCGI spawns the CGI helper, which writes its output to a temp file;

@@ -59,7 +59,7 @@ func (r *rig) fetch(t *testing.T, path string) (resp httpwire.Response, ok bool)
 			done = true
 			return 1
 		}
-		resp, ok = httpwire.ReadResponse(conn)
+		resp, ok = httpwire.ReadResponse(conn, nil)
 		done = true
 		return 0
 	})
@@ -167,7 +167,7 @@ func TestNonGETRejected(t *testing.T) {
 		defer pc.CloseClient()
 		conn := &testConn{p: p, pc: pc}
 		httpwire.WriteRequest(conn, httpwire.Request{Method: "POST", Path: "/index.html"})
-		resp, ok := httpwire.ReadResponse(conn)
+		resp, ok := httpwire.ReadResponse(conn, nil)
 		if ok {
 			status = resp.Status
 		}

@@ -1,10 +1,12 @@
 // Package common holds the small pieces shared by the simulated target
-// applications: the pipe-backed httpwire connection adapter and service
-// command-line conventions.
+// applications: the pipe-backed httpwire connection adapter, the web
+// servers' static-file handler and service command-line conventions.
 package common
 
 import (
+	"slices"
 	"strings"
+	"sync"
 
 	"ntdts/internal/httpwire"
 	"ntdts/internal/ntsim/win32"
@@ -93,4 +95,46 @@ func (c *HandleConn) Write(data []byte) bool {
 		total += int(n)
 	}
 	return true
+}
+
+// staticBufs is the storage one static-file response reads through: the
+// whole document, and the chunk each ReadFile fills.
+type staticBufs struct {
+	body  []byte
+	chunk [8192]byte
+}
+
+// staticPool recycles staticBufs across responses and runs, so serving
+// the 115 KB index page stops allocating it.
+var staticPool = sync.Pool{New: func() any { return new(staticBufs) }}
+
+// ServeStatic answers a GET for a file: 404 when it cannot be opened, 500
+// when its size cannot be read, otherwise 200 with the contents read in
+// 8,192-byte ReadFile calls and sent as one header WriteFile and one body
+// WriteFile. The storage goes back to staticPool only when WriteResponse
+// has returned, after every WriteFile has released its address mapping.
+func ServeStatic(api *win32.API, conn httpwire.Conn, path string) {
+	h := api.CreateFileA(path, win32.GenericRead, 0, win32.OpenExisting, 0)
+	if h == win32.InvalidHandle {
+		httpwire.WriteResponse(conn, httpwire.Response{Status: 404})
+		return
+	}
+	size := api.GetFileSize(h, nil)
+	if size == 0xFFFFFFFF {
+		api.CloseHandle(h)
+		httpwire.WriteResponse(conn, httpwire.Response{Status: 500})
+		return
+	}
+	sb := staticPool.Get().(*staticBufs)
+	defer staticPool.Put(sb)
+	sb.body = slices.Grow(sb.body[:0], int(size))
+	for uint32(len(sb.body)) < size {
+		var n uint32
+		if !api.ReadFile(h, sb.chunk[:], uint32(len(sb.chunk)), &n) || n == 0 {
+			break
+		}
+		sb.body = append(sb.body, sb.chunk[:n]...)
+	}
+	api.CloseHandle(h)
+	httpwire.WriteResponse(conn, httpwire.Response{Status: 200, Body: sb.body})
 }

@@ -242,38 +242,13 @@ func serveRequest(api *win32.API, conn httpwire.Conn, indexPath string, vrootOK 
 			httpwire.WriteResponse(conn, httpwire.Response{Status: 404})
 			return
 		}
-		serveStatic(api, conn, indexPath)
+		common.ServeStatic(api, conn, indexPath)
 	case req.Path == "/cgi-bin/info":
 		// In-process CGI: IIS generates the document directly.
 		httpwire.WriteResponse(conn, httpwire.Response{Status: 200, Body: CGIBody()})
 	default:
 		httpwire.WriteResponse(conn, httpwire.Response{Status: 404})
 	}
-}
-
-func serveStatic(api *win32.API, conn httpwire.Conn, path string) {
-	h := api.CreateFileA(path, win32.GenericRead, 0, win32.OpenExisting, 0)
-	if h == win32.InvalidHandle {
-		httpwire.WriteResponse(conn, httpwire.Response{Status: 404})
-		return
-	}
-	size := api.GetFileSize(h, nil)
-	if size == 0xFFFFFFFF {
-		api.CloseHandle(h)
-		httpwire.WriteResponse(conn, httpwire.Response{Status: 500})
-		return
-	}
-	body := make([]byte, 0, size)
-	buf := make([]byte, 8192)
-	for uint32(len(body)) < size {
-		var n uint32
-		if !api.ReadFile(h, buf, uint32(len(buf)), &n) || n == 0 {
-			break
-		}
-		body = append(body, buf[:n]...)
-	}
-	api.CloseHandle(h)
-	httpwire.WriteResponse(conn, httpwire.Response{Status: 200, Body: body})
 }
 
 // CGIBody is the deterministic 1 kB CGI document IIS serves (identical

@@ -65,7 +65,7 @@ func (r *rig) fetch(t *testing.T, path string) (httpwire.Response, bool) {
 			done = true
 			return 1
 		}
-		resp, ok = httpwire.ReadResponse(conn)
+		resp, ok = httpwire.ReadResponse(conn, nil)
 		done = true
 		return 0
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,4 +224,59 @@ func TestRunAllocBudget(t *testing.T) {
 		t.Fatalf("run allocated %.0f objects, budget %d — pooling regressed", allocs, budget)
 	}
 	t.Logf("allocs/run = %.0f (budget %d)", allocs, budget)
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestRunByteBudget pins the bytes one warm fault-free run allocates for
+// each server. TestRunAllocBudget counts objects, so it cannot see a few
+// large buffers; this budget fails if the request path goes back to
+// allocating the 115 KB static page, its pipe queues or the servers'
+// untouched VirtualAlloc regions on every run.
+func TestRunByteBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting run is slow")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	// sync.Pool caches per P and a run's goroutines migrate between Ps,
+	// so with several Ps a buffer put back on one P is sometimes missed
+	// from another and reallocated. One P measures the request path's own
+	// allocation without that scheduling noise.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		def    workload.Definition
+		budget uint64 // bytes per run
+	}{
+		{workload.NewIIS(workload.Standalone), 80 << 10},
+		{workload.NewApache1(workload.Standalone), 64 << 10},
+		{workload.NewSQL(workload.Standalone), 160 << 10},
+	} {
+		r := NewRunner(tc.def, RunnerOptions{})
+		// Warm the snapshot cache and buffer pools outside the measurement.
+		for i := 0; i < 2; i++ {
+			if _, err := r.Run(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Collect now so no collection empties the pools mid-measurement.
+		runtime.GC()
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := r.Run(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		if perRun > tc.budget {
+			t.Errorf("%s: run allocated %d bytes, budget %d — a request-path buffer is no longer recycled",
+				tc.def.Name, perRun, tc.budget)
+		}
+		t.Logf("%s: bytes/run = %d (budget %d)", tc.def.Name, perRun, tc.budget)
+	}
 }

@@ -9,6 +9,7 @@ package httpwire
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -76,8 +77,10 @@ func WriteResponse(c Conn, resp Response) bool {
 	return c.Write(resp.Body)
 }
 
-// ReadResponse parses a response, reading exactly Content-Length body bytes.
-func ReadResponse(c Conn) (Response, bool) {
+// ReadResponse parses a response, reading exactly Content-Length body bytes
+// into body's storage: it is overwritten from index 0 and grown when too
+// small, and the returned Body aliases it. A nil body allocates.
+func ReadResponse(c Conn, body []byte) (Response, bool) {
 	head, rest, ok := readUntilBlankLine(c, nil)
 	if !ok {
 		return Response{}, false
@@ -107,7 +110,7 @@ func ReadResponse(c Conn) (Response, bool) {
 	if length < 0 {
 		return Response{}, false
 	}
-	body := make([]byte, 0, length)
+	body = slices.Grow(body[:0], length)
 	body = append(body, rest...)
 	var buf [4096]byte
 	for len(body) < length {

@@ -48,7 +48,7 @@ func TestResponseRoundtrip(t *testing.T) {
 	if !WriteResponse(c, Response{Status: 200, Body: body}) {
 		t.Fatal("WriteResponse failed")
 	}
-	resp, ok := ReadResponse(c)
+	resp, ok := ReadResponse(c, nil)
 	if !ok || resp.Status != 200 || !bytes.Equal(resp.Body, body) {
 		t.Fatalf("ReadResponse status=%d len=%d ok=%v", resp.Status, len(resp.Body), ok)
 	}
@@ -57,7 +57,7 @@ func TestResponseRoundtrip(t *testing.T) {
 func TestEmptyBodyResponse(t *testing.T) {
 	c := &loopConn{}
 	WriteResponse(c, Response{Status: 404})
-	resp, ok := ReadResponse(c)
+	resp, ok := ReadResponse(c, nil)
 	if !ok || resp.Status != 404 || len(resp.Body) != 0 {
 		t.Fatalf("resp=%+v ok=%v", resp, ok)
 	}
@@ -89,7 +89,7 @@ func TestMalformedResponses(t *testing.T) {
 	} {
 		c := &loopConn{}
 		c.buf.WriteString(raw)
-		if _, ok := ReadResponse(c); ok {
+		if _, ok := ReadResponse(c, nil); ok {
 			t.Errorf("accepted malformed response %q", raw)
 		}
 	}
@@ -108,7 +108,7 @@ func TestBrokenConnection(t *testing.T) {
 	if WriteRequest(c, Request{Method: "GET", Path: "/"}) {
 		t.Fatal("write on broken conn succeeded")
 	}
-	if _, ok := ReadResponse(c); ok {
+	if _, ok := ReadResponse(c, nil); ok {
 		t.Fatal("read on broken conn succeeded")
 	}
 }
@@ -119,7 +119,7 @@ func TestBodySplitAcrossReads(t *testing.T) {
 	WriteResponse(c, Response{Status: 200, Body: []byte("hello world")})
 	// Move everything into a fragmenting conn.
 	frag := &fragConn{data: c.buf.Bytes(), chunk: 3}
-	resp, ok := ReadResponse(frag)
+	resp, ok := ReadResponse(frag, nil)
 	if !ok || string(resp.Body) != "hello world" {
 		t.Fatalf("resp=%+v ok=%v", resp, ok)
 	}
@@ -160,7 +160,7 @@ func TestPropertyResponseRoundtrip(t *testing.T) {
 		if !WriteResponse(c, Response{Status: st, Body: body}) {
 			return false
 		}
-		resp, ok := ReadResponse(c)
+		resp, ok := ReadResponse(c, nil)
 		return ok && resp.Status == st && bytes.Equal(resp.Body, body)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -208,10 +208,9 @@ type Injector struct {
 	target TargetSelector
 	spec   *FaultSpec
 
-	counts    map[string]int
-	activated map[string]bool
-	injected  bool
-	events    []Event
+	counts   map[string]int // calls per function; a key means activated
+	injected bool
+	events   []Event
 
 	// tel is the kernel's telemetry collector captured at construction;
 	// specStr is the fault spec pre-rendered once so the per-dispatch
@@ -232,12 +231,11 @@ func New(k *ntsim.Kernel, target TargetSelector, spec *FaultSpec) *Injector {
 		panic("inject: nil target selector")
 	}
 	in := &Injector{
-		k:         k,
-		target:    target,
-		spec:      spec,
-		counts:    make(map[string]int),
-		activated: make(map[string]bool),
-		tel:       k.Telemetry(),
+		k:      k,
+		target: target,
+		spec:   spec,
+		counts: make(map[string]int),
+		tel:    k.Telemetry(),
 	}
 	if spec != nil && in.tel.Enabled() {
 		in.specStr = spec.String()
@@ -254,7 +252,6 @@ func (in *Injector) BeforeSyscall(pid ntsim.PID, image, fn string, raw []uint64)
 		return
 	}
 	in.counts[fn]++
-	in.activated[fn] = true
 	if in.spec == nil || in.injected {
 		return
 	}
@@ -289,12 +286,12 @@ func (in *Injector) BeforeSyscall(pid ntsim.PID, image, fn string, raw []uint64)
 func (in *Injector) Injected() bool { return in.injected }
 
 // Activated reports whether the target called fn at least once.
-func (in *Injector) Activated(fn string) bool { return in.activated[fn] }
+func (in *Injector) Activated(fn string) bool { return in.counts[fn] > 0 }
 
 // ActivatedFunctions returns the set of functions the target called.
 func (in *Injector) ActivatedFunctions() map[string]bool {
-	out := make(map[string]bool, len(in.activated))
-	for fn := range in.activated {
+	out := make(map[string]bool, len(in.counts))
+	for fn := range in.counts {
 		out[fn] = true
 	}
 	return out
@@ -302,7 +299,7 @@ func (in *Injector) ActivatedFunctions() map[string]bool {
 
 // ActivatedCount reports how many distinct functions the target called
 // (the paper's Table 1 metric).
-func (in *Injector) ActivatedCount() int { return len(in.activated) }
+func (in *Injector) ActivatedCount() int { return len(in.counts) }
 
 // CallCount reports how many times the target called fn.
 func (in *Injector) CallCount(fn string) int { return in.counts[fn] }

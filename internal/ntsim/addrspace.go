@@ -23,14 +23,16 @@ type region struct {
 	base uint64
 	data []byte
 	str  string
+	size int // regionZero only: the length data gets when first resolved
 	kind regionKind
 }
 
 type regionKind int
 
 const (
-	regionBuf regionKind = iota + 1
-	regionStr
+	regionBuf  regionKind = iota + 1
+	regionStr             // a NUL-terminated string
+	regionZero            // a zero-filled buffer not yet allocated
 )
 
 const addrBase = 0x0040_0000 // traditional Win32 image base
@@ -52,19 +54,27 @@ func (a *addrSpace) MapBuf(data []byte) uint64 {
 	if data == nil {
 		return 0
 	}
-	a.next += 0x1000 // page-align so corrupted addresses miss reliably
-	r := &region{base: a.next, data: data, kind: regionBuf}
-	a.regions[r.base] = r
-	a.next += uint64(len(data))
-	return r.base
+	return a.mapRegion(&region{data: data, kind: regionBuf}, len(data))
+}
+
+// MapZero registers size bytes of zero-filled memory and returns its fake
+// address. The bytes are allocated only when the address first resolves
+// through Buf, so a region that is freed untouched costs nothing.
+func (a *addrSpace) MapZero(size int) uint64 {
+	return a.mapRegion(&region{size: size, kind: regionZero}, size)
 }
 
 // MapStr registers a NUL-terminated string parameter.
 func (a *addrSpace) MapStr(s string) uint64 {
-	a.next += 0x1000
-	r := &region{base: a.next, str: s, kind: regionStr}
+	return a.mapRegion(&region{str: s, kind: regionStr}, len(s)+1)
+}
+
+// mapRegion places r at the next free address, spanning n bytes.
+func (a *addrSpace) mapRegion(r *region, n int) uint64 {
+	a.next += 0x1000 // page-align so corrupted addresses miss reliably
+	r.base = a.next
 	a.regions[r.base] = r
-	a.next += uint64(len(s)) + 1
+	a.next += uint64(n)
 	return r.base
 }
 
@@ -75,10 +85,23 @@ func (a *addrSpace) Buf(addr uint64) (data []byte, null, ok bool) {
 		return nil, true, true
 	}
 	r, found := a.regions[addr]
-	if !found || r.kind != regionBuf {
+	if !found {
+		return nil, false, false
+	}
+	switch r.kind {
+	case regionZero:
+		r.data, r.kind = make([]byte, r.size), regionBuf
+	case regionStr:
 		return nil, false, false
 	}
 	return r.data, false, true
+}
+
+// IsBuf reports whether addr resolves to a buffer, as Buf would with
+// ok && !null, without allocating a zero-filled region.
+func (a *addrSpace) IsBuf(addr uint64) bool {
+	r, found := a.regions[addr]
+	return found && r.kind != regionStr
 }
 
 // Str resolves an address back to its registered string.

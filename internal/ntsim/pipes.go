@@ -2,6 +2,7 @@ package ntsim
 
 import (
 	"strings"
+	"sync"
 	"time"
 
 	"ntdts/internal/vclock"
@@ -113,16 +114,26 @@ func (d *pipeDir) readDeadline(p *Process, buf []byte, timeout time.Duration) (i
 // pending returns the number of buffered unread bytes.
 func (d *pipeDir) pending() int { return len(d.buf) - d.off }
 
-// reclaimBuf strips a dead direction's backing array for reuse. The old
-// direction keeps a nil queue: any straggling reader observes EOF/broken
-// pipe through its flags, never recycled bytes.
-func reclaimBuf(d *pipeDir) []byte {
-	if d == nil {
+// connBufs is one connection's pair of byte queues. A broken connection
+// returns its queues to connBufPool and the next accepted connection, on
+// any kernel, takes them back: a serve-disconnect-reconnect loop stops
+// reallocating the ~120 KB its largest reply needs. Only the backing
+// arrays travel; the pipeDir structs stay with the dead connection, so a
+// straggling reader still observes EOF through its own flags.
+type connBufs struct{ toServer, toClient []byte }
+
+var connBufPool = sync.Pool{New: func() any { return new(connBufs) }}
+
+// detach strips a dead direction's backing array for reuse. A direction
+// still holding unread bytes keeps them for a reader that was woken before
+// the disconnect, and gives nothing up.
+func (d *pipeDir) detach() []byte {
+	if d.pending() > 0 {
 		return nil
 	}
-	b := d.buf
+	b := d.buf[:0]
 	d.buf, d.off = nil, 0
-	return b[:0]
+	return b
 }
 
 func (d *pipeDir) write(k *Kernel, data []byte) (int, Errno) {
@@ -146,9 +157,10 @@ type PipeServer struct {
 	Name      string
 	connected bool
 	closed    bool
-	listener  *Process // server blocked in ConnectNamedPipe
-	toServer  *pipeDir // client -> server bytes
-	toClient  *pipeDir // server -> client bytes
+	listener  *Process  // server blocked in ConnectNamedPipe
+	toServer  *pipeDir  // client -> server bytes
+	toClient  *pipeDir  // server -> client bytes
+	bufs      *connBufs // the connected directions' pooled queues
 	peer      *PipeClient
 }
 
@@ -230,14 +242,13 @@ func (k *Kernel) PipeAvailable(path string) (bool, Errno) {
 	return false, ErrSuccess
 }
 
-// acceptClient wires a fresh client end onto this instance. The dead
-// previous connection's byte queues donate their backing arrays, so a
-// serve-disconnect-reconnect loop stops reallocating its transfer
-// buffers.
+// acceptClient wires a fresh client end onto this instance, taking its
+// byte queues from connBufPool.
 func (ps *PipeServer) acceptClient() *PipeClient {
 	ps.connected = true
-	ps.toServer = &pipeDir{writerOpen: true, buf: reclaimBuf(ps.toServer)}
-	ps.toClient = &pipeDir{writerOpen: true, buf: reclaimBuf(ps.toClient)}
+	ps.bufs = connBufPool.Get().(*connBufs)
+	ps.toServer = &pipeDir{writerOpen: true, buf: ps.bufs.toServer[:0]}
+	ps.toClient = &pipeDir{writerOpen: true, buf: ps.bufs.toClient[:0]}
 	pc := &PipeClient{k: ps.k, srv: ps}
 	ps.peer = pc
 	if ps.listener != nil {
@@ -304,25 +315,25 @@ func (ps *PipeServer) Disconnect() Errno {
 	return ErrSuccess
 }
 
+// breakConnection ends the current connection; callers check connected.
 func (ps *PipeServer) breakConnection() {
 	ps.connected = false
-	if ps.toClient != nil {
-		// Win32 semantics: unread bytes are discarded on disconnect.
-		ps.toClient.buf, ps.toClient.off = ps.toClient.buf[:0], 0
-		ps.toClient.readerGone = true
-		ps.toClient.closeWriter(ps.k)
-		ps.toClient.wakeDrainer(ps.k)
-	}
-	if ps.toServer != nil {
-		ps.toServer.readerGone = true
-		ps.toServer.closeWriter(ps.k)
-		ps.toServer.wakeDrainer(ps.k)
-	}
+	// Win32 semantics: unread bytes are discarded on disconnect.
+	ps.toClient.buf, ps.toClient.off = ps.toClient.buf[:0], 0
+	ps.toClient.readerGone = true
+	ps.toClient.closeWriter(ps.k)
+	ps.toClient.wakeDrainer(ps.k)
+	ps.toServer.readerGone = true
+	ps.toServer.closeWriter(ps.k)
+	ps.toServer.wakeDrainer(ps.k)
 	if ps.peer != nil {
 		ps.peer.srvGone()
 		ps.peer = nil
 	}
-	ps.toServer, ps.toClient = nil, nil
+	ps.bufs.toServer = ps.toServer.detach()
+	ps.bufs.toClient = ps.toClient.detach()
+	connBufPool.Put(ps.bufs)
+	ps.toServer, ps.toClient, ps.bufs = nil, nil, nil
 }
 
 // Flush blocks until the client has consumed all bytes the server wrote

@@ -2,11 +2,15 @@ package ntsim
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 )
 
 const testPipePath = `\\.\pipe\svc`
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 func TestPipeEcho(t *testing.T) {
 	k := NewKernel()
@@ -243,6 +247,79 @@ func TestPipeDisconnectAndReaccept(t *testing.T) {
 		t.Fatalf("served %d clients, want 2", served)
 	}
 	checkNoPanics(t, k)
+}
+
+// TestPipeReconnectReusesBuffers drives a serve-disconnect-reconnect loop
+// of 115 KB replies on one instance and checks that, after a warm-up
+// connection, a round allocates nothing near the reply's size: a broken
+// connection's byte queues must carry over to the next one.
+func TestPipeReconnectReusesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	// sync.Pool caches per P, and the server puts the queues back from
+	// one goroutine while the client's connect takes them from another;
+	// one P keeps them from being missed on the other P's cache.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 20
+	reply := bytes.Repeat([]byte("0123456789abcdef"), 115*1024/16)
+	k := NewKernel()
+	k.RegisterImage("server.exe", func(p *Process) uint32 {
+		ps, _ := k.CreatePipeServer(testPipePath)
+		for i := 0; i <= rounds; i++ {
+			if errno := ps.Listen(p); errno != ErrSuccess && errno != ErrPipeConnected {
+				t.Errorf("listen %d: %v", i, errno)
+				return 1
+			}
+			ps.Write(reply)
+			if errno := ps.Flush(p); errno != ErrSuccess {
+				t.Errorf("flush %d: %v", i, errno)
+				return 1
+			}
+			ps.Disconnect()
+		}
+		return 0
+	})
+	var ms runtime.MemStats
+	var start [rounds + 2]uint64
+	k.RegisterImage("client.exe", func(p *Process) uint32 {
+		buf := make([]byte, len(reply))
+		for i := 0; i <= rounds; i++ {
+			runtime.ReadMemStats(&ms)
+			start[i] = ms.TotalAlloc
+			pc, errno := k.ConnectPipeClient(testPipePath)
+			for errno == ErrPipeBusy {
+				p.SleepFor(time.Millisecond)
+				pc, errno = k.ConnectPipeClient(testPipePath)
+			}
+			if errno != ErrSuccess {
+				t.Errorf("connect %d: %v", i, errno)
+				return 1
+			}
+			for got := 0; got < len(buf); {
+				n, errno := pc.Read(p, buf[got:])
+				if errno != ErrSuccess {
+					t.Errorf("read %d at %d: %v", i, got, errno)
+					return 1
+				}
+				got += n
+			}
+			pc.CloseClient()
+		}
+		runtime.ReadMemStats(&ms)
+		start[rounds+1] = ms.TotalAlloc
+		return 0
+	})
+	runtime.GC() // settle the heap so no GC empties the pool mid-loop
+	mustSpawn(t, k, "server.exe", "")
+	mustSpawn(t, k, "client.exe", "")
+	runAll(t, k)
+	checkNoPanics(t, k)
+	for i := 1; i <= rounds; i++ {
+		if d := start[i+1] - start[i]; d >= 4<<10 {
+			t.Errorf("round %d allocated %d bytes, want < 4096", i, d)
+		}
+	}
 }
 
 func TestPipeAvailable(t *testing.T) {

@@ -115,7 +115,8 @@ func (a *API) HeapBuf(h Handle, addr uint64) ([]byte, bool) {
 	return buf, found
 }
 
-// VirtualAlloc reserves/commits a region, modeled as an anonymous buffer.
+// VirtualAlloc reserves/commits a region, modeled as zero-filled memory
+// that is allocated when a call first resolves its address.
 func (a *API) VirtualAlloc(addrHint uint64, size uint32, allocType, protect uint32) uint64 {
 	raw := a.p.Raw(addrHint, uint64(size), uint64(allocType), uint64(protect))
 	a.syscall("VirtualAlloc", raw)
@@ -125,8 +126,7 @@ func (a *API) VirtualAlloc(addrHint uint64, size uint32, allocType, protect uint
 		a.fail(ntsim.ErrInvalidParameter)
 		return 0
 	}
-	buf := make([]byte, size)
-	addr := a.p.Addr().MapBuf(buf)
+	addr := a.p.Addr().MapZero(int(size))
 	a.ok()
 	return addr
 }
@@ -135,7 +135,7 @@ func (a *API) VirtualAlloc(addrHint uint64, size uint32, allocType, protect uint
 func (a *API) VirtualFree(addr uint64, size, freeType uint32) bool {
 	raw := a.p.Raw(addr, uint64(size), uint64(freeType))
 	a.syscall("VirtualFree", raw)
-	if _, res := a.buf(raw[0]); res != ptrResolved {
+	if !a.p.Addr().IsBuf(raw[0]) {
 		return a.fail(ntsim.ErrInvalidParameter)
 	}
 	a.p.Addr().Release(raw[0])

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"bytes"
+	"sync"
 	"time"
 
 	"ntdts/internal/httpwire"
@@ -39,8 +40,8 @@ type RequestSpec struct {
 	Name string
 	// Send writes the request and reads the reply over an open
 	// connection, returning the raw reply and whether a complete reply
-	// arrived.
-	send func(p *ntsim.Process, conn Conn, deadline vclock.Time) (reply []byte, complete bool)
+	// arrived. The reply may be built in buf's storage.
+	send func(p *ntsim.Process, conn Conn, deadline vclock.Time, buf []byte) (reply []byte, complete bool)
 	// Expected is the exact correct reply body.
 	Expected []byte
 	// PipePath is the server endpoint.
@@ -142,10 +143,15 @@ func runRequest(p *ntsim.Process, spec RequestSpec, rec *RequestRecord) {
 // simulated CPU and saturate the service they are merely observing.
 func runRequestOn(p *ntsim.Process, spec RequestSpec, rec *RequestRecord, remote bool) {
 	k := p.Kernel()
+	storage := replyPool.Get().(*[]byte)
+	defer replyPool.Put(storage)
 	for attempt := 1; attempt <= MaxAttempts; attempt++ {
 		rec.Attempts = attempt
 		deadline := k.Now().Add(ReplyTimeout)
-		reply, complete := tryOnce(p, spec, deadline)
+		reply, complete := tryOnce(p, spec, deadline, *storage)
+		if cap(reply) > cap(*storage) {
+			*storage = reply[:0]
+		}
 		if complete {
 			rec.GotResponse = true
 			if bytes.Equal(reply, spec.Expected) {
@@ -166,11 +172,16 @@ func runRequestOn(p *ntsim.Process, spec RequestSpec, rec *RequestRecord, remote
 	rec.End = k.Now()
 }
 
+// replyPool recycles reply storage across requests and runs, so reading
+// the 115 KB static page stops allocating it. A reply is dead once the
+// oracle in runRequestOn has compared it.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // tryOnce makes a single attempt: connect (polling until the deadline) and
 // exchange one request/reply. Connections come from the kernel's
 // registered dialer when one exists (cluster routing), else straight from
 // the local pipe namespace.
-func tryOnce(p *ntsim.Process, spec RequestSpec, deadline vclock.Time) ([]byte, bool) {
+func tryOnce(p *ntsim.Process, spec RequestSpec, deadline vclock.Time, buf []byte) ([]byte, bool) {
 	k := p.Kernel()
 	dial := dialerFor(k)
 	var conn Conn
@@ -194,7 +205,7 @@ func tryOnce(p *ntsim.Process, spec RequestSpec, deadline vclock.Time) ([]byte, 
 		p.SleepFor(250 * time.Millisecond)
 	}
 	defer conn.CloseClient()
-	return spec.send(p, conn, deadline)
+	return spec.send(p, conn, deadline, buf)
 }
 
 // CloseClient is exported on the kernel type via a tiny wrapper so client
@@ -228,13 +239,13 @@ func (c *timedConn) Write(data []byte) bool {
 // httpSend performs one HTTP exchange, returning the body when a complete,
 // well-formed 200 response arrives. A non-200 or malformed reply counts as
 // complete-but-wrong (reply != expected).
-func httpSend(path string) func(*ntsim.Process, Conn, vclock.Time) ([]byte, bool) {
-	return func(p *ntsim.Process, pc Conn, deadline vclock.Time) ([]byte, bool) {
+func httpSend(path string) func(*ntsim.Process, Conn, vclock.Time, []byte) ([]byte, bool) {
+	return func(p *ntsim.Process, pc Conn, deadline vclock.Time, body []byte) ([]byte, bool) {
 		conn := &timedConn{p: p, pc: pc, deadline: deadline}
 		if !httpwire.WriteRequest(conn, httpwire.Request{Method: "GET", Path: path}) {
 			return nil, false
 		}
-		resp, ok := httpwire.ReadResponse(conn)
+		resp, ok := httpwire.ReadResponse(conn, body)
 		if !ok {
 			return nil, false
 		}
@@ -250,12 +261,12 @@ func httpSend(path string) func(*ntsim.Process, Conn, vclock.Time) ([]byte, bool
 
 // sqlSend performs one SQL exchange: one query line out, the framed reply
 // back.
-func sqlSend(query string) func(*ntsim.Process, Conn, vclock.Time) ([]byte, bool) {
-	return func(p *ntsim.Process, pc Conn, deadline vclock.Time) ([]byte, bool) {
+func sqlSend(query string) func(*ntsim.Process, Conn, vclock.Time, []byte) ([]byte, bool) {
+	return func(p *ntsim.Process, pc Conn, deadline vclock.Time, reply []byte) ([]byte, bool) {
 		if _, errno := pc.Write([]byte(query + "\n")); errno != ntsim.ErrSuccess {
 			return nil, false
 		}
-		var reply []byte
+		reply = reply[:0]
 		buf := make([]byte, 4096)
 		for {
 			remaining := deadline.Sub(p.Kernel().Now())
